@@ -13,9 +13,24 @@
 
 use mcio_bench::{format_bytes, improvement_pct, Harness, TESTBED_PPN};
 use mcio_cluster::spec::ClusterSpec;
-use mcio_core::exec_sim::{simulate, simulate_opts, simulate_two_level, Pipeline};
-use mcio_core::{mcio, twophase, PlacementPolicy, ProcMemory, Rw};
+use mcio_core::{
+    mcio, run, simulate, twophase, CollectivePlan, Exchange, Pipeline, PlacementPolicy, ProcMemory,
+    RunSpec, Rw, TenantJob, TimingReport,
+};
 use mcio_workloads::Ior;
+
+/// `plan` alone on `h`'s machine with the given round schedule.
+fn scheduled(
+    plan: CollectivePlan,
+    h: &Harness,
+    pipeline: Pipeline,
+    exchange: Exchange,
+) -> TimingReport {
+    let jobs = [TenantJob::new("ablation", plan, h.map.clone())
+        .pipeline(pipeline)
+        .exchange(exchange)];
+    run(&RunSpec::new(&jobs, &h.spec)).jobs.remove(0).report
+}
 
 fn main() {
     const MIB: u64 = 1 << 20;
@@ -59,8 +74,9 @@ fn main() {
         // Two-level exchange: on-node combining before the wire (the
         // abstract's "intra-node and inter-node layer" coordination).
         {
-            let b = simulate_two_level(&twophase::plan(&req, &h.map, &env, &cfg), &h.map, &h.spec);
-            let m = simulate_two_level(&mcio::plan(&req, &h.map, &env, &cfg), &h.map, &h.spec);
+            let (pl, ex) = (Pipeline::Serial, Exchange::TwoLevel);
+            let b = scheduled(twophase::plan(&req, &h.map, &env, &cfg), &h, pl, ex);
+            let m = scheduled(mcio::plan(&req, &h.map, &env, &cfg), &h, pl, ex);
             println!(
                 "  two-level exchange  : baseline {:>7.1}, MC {:>7.1} ({:+.1}%)",
                 b.bandwidth_mibs,
@@ -77,13 +93,9 @@ fn main() {
             ("serial", Pipeline::Serial),
             ("double-buffered", Pipeline::DoubleBuffered),
         ] {
-            let b = simulate_opts(
-                &twophase::plan(&req, &h.map, &env, &cfg),
-                &h.map,
-                &h.spec,
-                pl,
-            );
-            let m = simulate_opts(&mcio::plan(&req, &h.map, &env, &cfg), &h.map, &h.spec, pl);
+            let ex = Exchange::Direct;
+            let b = scheduled(twophase::plan(&req, &h.map, &env, &cfg), &h, pl, ex);
+            let m = scheduled(mcio::plan(&req, &h.map, &env, &cfg), &h, pl, ex);
             println!(
                 "  rounds {label:<16}: baseline {:>7.1}, MC {:>7.1} ({:+.1}%)",
                 b.bandwidth_mibs,

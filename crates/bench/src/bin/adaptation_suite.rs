@@ -33,11 +33,9 @@
 use mcio_bench::mtspec::{self, JobSpec, MtSpec};
 use mcio_cluster::spec::ClusterSpec;
 use mcio_cluster::ProcessMap;
-use mcio_core::exec_sim::{Exchange, Observe, Pipeline};
 use mcio_core::{
-    exec_fn, mcio, run_multitenant_adaptive, simulate_adaptive, AdaptivePolicy, CollectiveConfig,
-    CollectivePlan, CollectiveRequest, Extent, MultiTenantReport, ProcMemory, Rw, Strategy,
-    TenantJob,
+    exec_fn, mcio, run, AdaptivePolicy, CollectiveConfig, CollectivePlan, CollectiveRequest,
+    Extent, Observe, ProcMemory, RunOutcome, RunSpec, Rw, Strategy, TenantJob,
 };
 use mcio_des::SimDuration;
 use mcio_faults::FaultSpec;
@@ -145,22 +143,15 @@ fn run_solo_cell(case: &SoloCase, fault: &str, text: &str, policy: AdaptivePolic
     if let Err(e) = fspec.validate_osts(case.spec.io_servers) {
         fail(&format!("fault row {fault}: {e}"));
     }
-    let out = simulate_adaptive(
-        &case.plan,
-        &case.map,
-        &case.spec,
-        &case.mem,
-        Pipeline::Serial,
-        Exchange::Direct,
-        &fspec,
+    let jobs = [TenantJob::new("solo", case.plan.clone(), case.map.clone())];
+    let mut run = run(&RunSpec {
+        faults: Some(&fspec),
         policy,
-        Observe {
-            registry: None,
-            trace: false,
-            prof: None,
-            ..Observe::default()
-        },
-    );
+        memory: Some(&case.mem),
+        ..RunSpec::new(&jobs, &case.spec)
+    });
+    let solo = run.jobs.remove(0);
+    let out = run.recovery.expect("a faulted run reports recovery");
     let mut errors = Vec::new();
     if let Err(e) = out.executed_plan.check(&case.req) {
         errors.push(format!(
@@ -180,7 +171,7 @@ fn run_solo_cell(case: &SoloCase, fault: &str, text: &str, policy: AdaptivePolic
             policy.label()
         ));
     }
-    let a = &out.adaptive;
+    let a = &solo.adaptive;
     let retuned = match a.retuned {
         Some((old, new)) => format!("[{old}, {new}]"),
         None => "null".into(),
@@ -190,7 +181,7 @@ fn run_solo_cell(case: &SoloCase, fault: &str, text: &str, policy: AdaptivePolic
          \"completed\": {}, \"severity\": {:.6}, \"deferrals\": {}, \"demotions\": {}, \
          \"resplits\": {}, \"msg_group\": {retuned}}}",
         policy.label(),
-        out.report.elapsed.as_nanos(),
+        solo.report.elapsed.as_nanos(),
         out.completed,
         a.severity,
         a.deferrals,
@@ -201,7 +192,7 @@ fn run_solo_cell(case: &SoloCase, fault: &str, text: &str, policy: AdaptivePolic
         "solo {fault:<15} {:<12} elapsed {:>10.3} ms  severity {:>5.3}  \
          defer {} demote {} resplit {}{}",
         policy.label(),
-        out.report.elapsed.as_nanos() as f64 / 1e6,
+        solo.report.elapsed.as_nanos() as f64 / 1e6,
         a.severity,
         a.deferrals,
         a.demotions,
@@ -259,11 +250,11 @@ fn request_of(job: &JobSpec) -> CollectiveRequest {
     )
 }
 
-fn mean_slowdown(mt: &MultiTenantReport) -> f64 {
+fn mean_slowdown(mt: &RunOutcome) -> f64 {
     mt.jobs.iter().map(|j| j.slowdown).sum::<f64>() / mt.jobs.len().max(1) as f64
 }
 
-fn deferrals(mt: &MultiTenantReport) -> usize {
+fn deferrals(mt: &RunOutcome) -> usize {
     mt.jobs.iter().map(|j| j.adaptive.deferrals).sum()
 }
 
@@ -275,18 +266,16 @@ fn run_tenant_cell(
     fspec: &FaultSpec,
     trace: bool,
 ) -> (CellOutcome, Option<String>) {
-    let mt = run_multitenant_adaptive(
-        &jobs[..tenants],
-        &ClusterSpec::small(32, 2),
-        Some(fspec),
+    let machine = ClusterSpec::small(32, 2);
+    let mt = run(&RunSpec {
+        faults: Some(fspec),
         policy,
-        Observe {
-            registry: None,
+        observe: Observe {
             trace,
-            prof: None,
             ..Observe::default()
         },
-    );
+        ..RunSpec::new(&jobs[..tenants], &machine)
+    });
     let mut errors = Vec::new();
     for (ji, j) in mt.jobs.iter().enumerate() {
         // Byte-correctness, every cell: the machine state and the
@@ -347,23 +336,16 @@ fn run_tenant_cell(
             errors,
             mean_slowdown: mean_slowdown(&mt),
         },
-        mt.trace,
+        mt.trace_json(),
     )
 }
 
 fn run_overlap_cell(spec: &MtSpec, jobs: &[TenantJob], policy: AdaptivePolicy) -> CellOutcome {
-    let mt = run_multitenant_adaptive(
-        jobs,
-        &spec.machine,
-        spec.faults.as_ref(),
+    let mt = run(&RunSpec {
+        faults: spec.faults.as_ref(),
         policy,
-        Observe {
-            registry: None,
-            trace: false,
-            prof: None,
-            ..Observe::default()
-        },
-    );
+        ..RunSpec::new(jobs, &spec.machine)
+    });
     let mut errors = Vec::new();
     for j in &mt.jobs {
         if j.slowdown < 1.0 - 1e-9 {

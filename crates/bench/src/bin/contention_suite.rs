@@ -28,8 +28,7 @@
 
 use mcio_bench::mtspec::{self, JobSpec};
 use mcio_cluster::spec::ClusterSpec;
-use mcio_core::exec_sim::Observe;
-use mcio_core::{run_multitenant, MultiTenantReport, Strategy, TenantJob};
+use mcio_core::{run, RunOutcome, RunSpec, Strategy, TenantJob};
 use mcio_des::SimDuration;
 use std::fmt::Write as _;
 use std::process::exit;
@@ -79,7 +78,7 @@ struct CellOutcome {
     mean_slowdown: f64,
 }
 
-fn render_cell(tenants: usize, strategy: Strategy, mt: &MultiTenantReport) -> String {
+fn render_cell(tenants: usize, strategy: Strategy, mt: &RunOutcome) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -98,22 +97,13 @@ fn render_cell(tenants: usize, strategy: Strategy, mt: &MultiTenantReport) -> St
     out
 }
 
-fn mean_slowdown(mt: &MultiTenantReport) -> f64 {
+fn mean_slowdown(mt: &RunOutcome) -> f64 {
     mt.jobs.iter().map(|j| j.slowdown).sum::<f64>() / mt.jobs.len().max(1) as f64
 }
 
 fn run_cell(tenants: usize, strategy: Strategy, jobs: &[TenantJob]) -> CellOutcome {
-    let mt = run_multitenant(
-        &jobs[..tenants],
-        &ClusterSpec::small(32, 2),
-        None,
-        Observe {
-            registry: None,
-            trace: false,
-            prof: None,
-            ..Observe::default()
-        },
-    );
+    let machine = ClusterSpec::small(32, 2);
+    let mt = run(&RunSpec::new(&jobs[..tenants], &machine));
     let mut errors = Vec::new();
     for j in &mt.jobs {
         if j.slowdown < 1.0 - 1e-9 {

@@ -27,10 +27,9 @@
 
 use mcio_cluster::spec::ClusterSpec;
 use mcio_cluster::ProcessMap;
-use mcio_core::exec_sim::{Exchange, Observe, Pipeline};
 use mcio_core::{
-    exec_fn, mcio, simulate_faulted, twophase, CollectiveConfig, CollectivePlan, CollectiveRequest,
-    Extent, ProcMemory, Rw, Strategy,
+    exec_fn, mcio, run, twophase, CollectiveConfig, CollectivePlan, CollectiveRequest, Extent,
+    FaultOutcome, Observe, ProcMemory, RunOutcome, RunSpec, Rw, Strategy, TenantJob,
 };
 use mcio_faults::FaultSpec;
 use mcio_pfs::SparseFile;
@@ -86,34 +85,40 @@ struct CellOutcome {
     trace: Option<String>,
 }
 
-#[allow(clippy::too_many_arguments)]
+/// `job` alone on `spec` under `fspec`, structural recovery armed.
+fn faulted(
+    job: &TenantJob,
+    spec: &ClusterSpec,
+    mem: &ProcMemory,
+    fspec: &FaultSpec,
+    trace: bool,
+) -> (RunOutcome, FaultOutcome) {
+    let mut out = run(&RunSpec {
+        faults: Some(fspec),
+        observe: Observe {
+            trace,
+            ..Observe::default()
+        },
+        memory: Some(mem),
+        ..RunSpec::new(std::slice::from_ref(job), spec)
+    });
+    let recovery = out.recovery.take().expect("a faulted run reports recovery");
+    (out, recovery)
+}
+
 fn run_cell(
     name: &'static str,
     fspec: &FaultSpec,
-    strategy: Strategy,
-    plan: &CollectivePlan,
-    map: &ProcessMap,
+    job: &TenantJob,
     spec: &ClusterSpec,
     mem: &ProcMemory,
     golden: &[u8],
-    total: u64,
 ) -> CellOutcome {
+    let strategy = job.plan.strategy;
     let want_trace = strategy == Strategy::MemoryConscious && name == "agg_crash";
-    let out = simulate_faulted(
-        plan,
-        map,
-        spec,
-        mem,
-        Pipeline::Serial,
-        Exchange::Direct,
-        fspec,
-        Observe {
-            registry: None,
-            trace: want_trace,
-            prof: None,
-            ..Observe::default()
-        },
-    );
+    let (run, out) = faulted(job, spec, mem, fspec, want_trace);
+    let report = &run.jobs[0].report;
+    let total = golden.len() as u64;
     let label = strategy.label();
     let line = format!(
         "{name:<10} {label:<17} {}  elapsed {:>10.3} ms  failovers {}  degraded {}  retries {}",
@@ -122,7 +127,7 @@ fn run_cell(
         } else {
             "INCOMPLETE"
         },
-        out.report.elapsed.as_nanos() as f64 / 1e6,
+        report.elapsed.as_nanos() as f64 / 1e6,
         out.failovers,
         out.degraded_rounds,
         out.retries,
@@ -166,8 +171,7 @@ fn run_cell(
             }
         }
     }
-    let bound =
-        u64::from(fspec.retry.max_attempts.saturating_sub(1)) * out.report.activities as u64;
+    let bound = u64::from(fspec.retry.max_attempts.saturating_sub(1)) * report.activities as u64;
     if out.retries > bound {
         errors.push(format!(
             "{name}/{label}: {} retries exceed bound {bound}",
@@ -177,7 +181,7 @@ fn run_cell(
     CellOutcome {
         line,
         errors,
-        trace: out.trace,
+        trace: run.trace_json(),
     }
 }
 
@@ -263,14 +267,14 @@ fn main() {
             cells.push((name, fspec.clone(), strategy));
         }
     }
+    let tp_job = TenantJob::new("two-phase", tp_plan, map.clone());
+    let mc_job = TenantJob::new("memory-conscious", mc_plan, map);
     let outcomes = mcio_sweep::sweep(jobs, &cells, |(name, fspec, strategy)| {
-        let plan = match strategy {
-            Strategy::TwoPhase => &tp_plan,
-            Strategy::MemoryConscious => &mc_plan,
+        let job = match strategy {
+            Strategy::TwoPhase => &tp_job,
+            Strategy::MemoryConscious => &mc_job,
         };
-        run_cell(
-            name, fspec, *strategy, plan, &map, &spec, &mem, &golden, total,
-        )
+        run_cell(name, fspec, job, &spec, &mem, &golden)
     });
 
     let mut crash_trace: Option<String> = None;
@@ -288,23 +292,9 @@ fn main() {
     // byte-for-byte.
     let fspec = FaultSpec::parse(&format!("seed 5\nagg_crash({crash_host}, 2ms)"))
         .expect("matrix entry parses");
-    let rerun = simulate_faulted(
-        &mc_plan,
-        &map,
-        &spec,
-        &mem,
-        Pipeline::Serial,
-        Exchange::Direct,
-        &fspec,
-        Observe {
-            registry: None,
-            trace: true,
-            prof: None,
-            ..Observe::default()
-        },
-    );
+    let (rerun, _) = faulted(&mc_job, &spec, &mem, &fspec, true);
     let first = crash_trace.unwrap_or_else(|| fail("agg_crash case produced no trace"));
-    if rerun.trace.as_deref() != Some(first.as_str()) {
+    if rerun.trace_json().as_deref() != Some(first.as_str()) {
         fail("faulted run is not deterministic: traces differ between identical runs");
     }
 

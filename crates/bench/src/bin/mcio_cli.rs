@@ -94,11 +94,11 @@ use mcio_bench::perf::Record;
 use mcio_bench::{format_bytes, improvement_pct};
 use mcio_cluster::spec::ClusterSpec;
 use mcio_cluster::ProcessMap;
-use mcio_core::exec_sim::{simulate_observed, Exchange, Observe, Pipeline};
 use mcio_core::hints::parse_bytes;
 use mcio_core::{
-    mcio as mc, simulate_adaptive, twophase, AdaptivePolicy, CollectiveConfig, CollectiveRequest,
-    FaultOutcome, PlanCache, ProcMemory, Rw, Strategy,
+    mcio as mc, run, simulate_observed, twophase, AdaptivePolicy, CollectiveConfig,
+    CollectiveRequest, Exchange, Observe, Pipeline, PlanCache, ProcMemory, RunOutcome, RunSpec, Rw,
+    Strategy, TenantJob,
 };
 use mcio_faults::FaultSpec;
 use mcio_obs::{MetricsFormat, Registry};
@@ -638,9 +638,8 @@ fn run_sweep(args: &[String]) {
         let plan_scope = prof.scope("plan");
         let plan = cache.get_or_plan(strategy, &req, &map, &mem, &cfg);
         drop(plan_scope);
-        // Same simulation as `simulate_opts`, with the profiler handle
-        // threaded through: identical TimingReport, identical document
-        // bytes, plus the run's engine counters.
+        // The one-job shorthand: the cached plan is simulated in place
+        // (no copy), with the profiler handle threaded through.
         let (report, _) = simulate_observed(
             &plan,
             &map,
@@ -780,17 +779,15 @@ fn run_multitenant_cmd(args: &[String]) {
     } else {
         Prof::disabled()
     };
-    let mt = mcio_core::run_multitenant(
-        &jobs,
-        &spec.machine,
-        spec.faults.as_ref(),
-        Observe {
-            registry: None,
+    let mt = run(&RunSpec {
+        faults: spec.faults.as_ref(),
+        observe: Observe {
             trace: want_trace.is_some(),
             prof: want_prof.map(|_| &prof),
             ..Observe::default()
         },
-    );
+        ..RunSpec::new(&jobs, &spec.machine)
+    });
     if let Some(path) = want_prof {
         // One cell: the whole multi-tenant machine is a single shared
         // DES run.
@@ -810,7 +807,10 @@ fn run_multitenant_cmd(args: &[String]) {
         eprintln!("mcio_cli multitenant: profile written to {path}");
     }
     if let Some(path) = want_trace {
-        let json = mt.trace.as_deref().expect("trace was requested");
+        let json = {
+            let _emit_scope = prof.scope("trace-emit");
+            mt.trace_json().expect("trace was requested")
+        };
         if let Err(e) = std::fs::write(path, json) {
             eprintln!("mcio_cli multitenant: cannot write trace to {path}: {e}");
             exit(1);
@@ -1114,32 +1114,10 @@ fn run_sim(args: &[String]) {
         })
     };
 
-    let two_level = flags.iter().any(|f| f == "two-level");
-    let exchange = if two_level {
+    let exchange = if flags.iter().any(|f| f == "two-level") {
         Exchange::TwoLevel
     } else {
         Exchange::Direct
-    };
-    let run = |plan: &mcio_core::CollectivePlan| {
-        // Same (pipeline, exchange) pairing as simulate_two_level /
-        // simulate_opts, with the selected DES engine threaded through.
-        let (pl, ex) = if two_level {
-            (Pipeline::Serial, Exchange::TwoLevel)
-        } else {
-            (pipeline, Exchange::Direct)
-        };
-        simulate_observed(
-            plan,
-            &map,
-            &spec,
-            pl,
-            ex,
-            Observe {
-                engine,
-                ..Observe::default()
-            },
-        )
-        .0
     };
     let want_prof = opts.get("prof");
     let prof = if want_prof.is_some() {
@@ -1153,33 +1131,31 @@ fn run_sim(args: &[String]) {
     drop(plan_scope);
     tp_plan.check(&req).expect("two-phase plan sound");
     mc_plan.check(&req).expect("memory-conscious plan sound");
-    let mut fault_outcomes: Option<(FaultOutcome, FaultOutcome)> = None;
-    let (tp, mcr) = match &fault_spec {
-        Some(fspec) => {
-            let faulted = |plan: &mcio_core::CollectivePlan| {
-                simulate_adaptive(
-                    plan,
-                    &map,
-                    &spec,
-                    &env,
-                    pipeline,
-                    exchange,
-                    fspec,
-                    policy,
-                    Observe {
-                        engine,
-                        ..Observe::default()
-                    },
-                )
-            };
-            let tpo = faulted(&tp_plan);
-            let mco = faulted(&mc_plan);
-            let reports = (tpo.report.clone(), mco.report.clone());
-            fault_outcomes = Some((tpo, mco));
-            reports
-        }
-        None => (run(&tp_plan), run(&mc_plan)),
+    let [tp_job, mc_job] = [tp_plan, mc_plan].map(|plan| {
+        TenantJob::new(plan.strategy.label(), plan, map.clone())
+            .pipeline(pipeline)
+            .exchange(exchange)
+    });
+    let (tp_plan, mc_plan) = (&tp_job.plan, &mc_job.plan);
+    // Every pass runs one collective alone on the machine with the
+    // requested (pipeline, exchange) pair, surviving the fault plan
+    // when one was given.
+    let simulate_job = |job: &TenantJob, observe: Observe<'_>| -> RunOutcome {
+        run(&RunSpec {
+            faults: fault_spec.as_ref(),
+            policy,
+            observe,
+            memory: Some(&env),
+            ..RunSpec::new(std::slice::from_ref(job), &spec)
+        })
     };
+    let summary = Observe {
+        engine,
+        ..Observe::default()
+    };
+    let tp_out = simulate_job(&tp_job, summary);
+    let mc_out = simulate_job(&mc_job, summary);
+    let (tp, mcr) = (&tp_out.jobs[0].report, &mc_out.jobs[0].report);
     println!(
         "two-phase       : {:>9.1} MiB/s  ({} aggs, {} rounds, elapsed {})",
         tp.bandwidth_mibs,
@@ -1195,7 +1171,7 @@ fn run_sim(args: &[String]) {
         mcr.elapsed,
         improvement_pct(tp.bandwidth_mibs, mcr.bandwidth_mibs),
     );
-    if let (Some(fspec), Some((tpo, mco))) = (&fault_spec, &fault_outcomes) {
+    if let (Some(fspec), Some(tpo), Some(mco)) = (&fault_spec, &tp_out.recovery, &mc_out.recovery) {
         println!(
             "faults          : {} event(s), seed {}",
             fspec.events.len(),
@@ -1216,7 +1192,7 @@ fn run_sim(args: &[String]) {
             );
         }
         if !policy.is_off() {
-            let a = &mco.adaptive;
+            let a = &mc_out.jobs[0].adaptive;
             println!(
                 "adaptive        : policy {} (severity {:.3}, deferrals {}, demotions {}, \
                  resplits {}{})",
@@ -1247,10 +1223,10 @@ fn run_sim(args: &[String]) {
                 exit(2);
             }
         };
-        let (label, obs_plan) = if observe_mc {
-            ("memory-conscious", &mc_plan)
+        let (label, obs_job) = if observe_mc {
+            ("memory-conscious", &mc_job)
         } else {
-            ("two-phase", &tp_plan)
+            ("two-phase", &tp_job)
         };
         let registry = Arc::new(Registry::new());
         spec.record_into(&registry);
@@ -1261,15 +1237,7 @@ fn run_sim(args: &[String]) {
             prof: want_prof.map(|_| &prof),
             engine,
         };
-        let (obs_timing, trace_json) = match &fault_spec {
-            Some(fspec) => {
-                let outcome = simulate_adaptive(
-                    obs_plan, &map, &spec, &env, pipeline, exchange, fspec, policy, observe,
-                );
-                (outcome.report, outcome.trace)
-            }
-            None => simulate_observed(obs_plan, &map, &spec, pipeline, exchange, observe),
-        };
+        let outcome = simulate_job(obs_job, observe);
         if let Some(path) = want_metrics {
             if let Err(e) = std::fs::write(path, fmt.render(&registry.snapshot())) {
                 eprintln!("mcio_cli: cannot write metrics to {path}: {e}");
@@ -1278,7 +1246,10 @@ fn run_sim(args: &[String]) {
             println!("{label} metrics written to {path}");
         }
         if let Some(path) = want_trace {
-            let json = trace_json.expect("trace was requested");
+            let json = {
+                let _emit_scope = prof.scope("trace-emit");
+                outcome.trace_json().expect("trace was requested")
+            };
             if let Err(e) = std::fs::write(path, json) {
                 eprintln!("mcio_cli: cannot write trace to {path}: {e}");
                 exit(1);
@@ -1290,7 +1261,7 @@ fn run_sim(args: &[String]) {
                 &prof,
                 vec![DetCell {
                     label: format!("run/{label}"),
-                    engine: obs_timing.engine.clone(),
+                    engine: outcome.engine.clone(),
                 }],
                 None,
                 Vec::new(),

@@ -24,7 +24,7 @@
 //! space — its "file". `fault` lines are concatenated (in order) and
 //! parsed with the robustness DSL of `mcio-faults`.
 //!
-//! [`render_run`] serializes a [`MultiTenantReport`] as the
+//! [`render_run`] serializes a shared-machine [`RunOutcome`] as the
 //! `mcio.multitenant.v1` JSON document: manual string building,
 //! `{:.6}` floats, no map iteration — the bytes are a pure function of
 //! the outcome, so any worker-thread fan-out reproduces them exactly.
@@ -34,8 +34,8 @@ use mcio_cluster::ProcessMap;
 use mcio_core::exec_sim::{Exchange, Pipeline};
 use mcio_core::hints::parse_bytes;
 use mcio_core::{
-    mcio, twophase, CollectiveConfig, CollectiveRequest, Extent, JobOutcome, MultiTenantReport,
-    ProcMemory, Rw, Strategy, TenantJob,
+    mcio, twophase, CollectiveConfig, CollectiveRequest, Extent, JobOutcome, ProcMemory,
+    RunOutcome, Rw, Strategy, TenantJob,
 };
 use mcio_des::SimDuration;
 use mcio_faults::FaultSpec;
@@ -289,7 +289,7 @@ impl MtSpec {
     }
 
     /// Plan every job and build the [`TenantJob`] list for
-    /// [`mcio_core::run_multitenant`].
+    /// [`mcio_core::run`].
     pub fn build_jobs(&self) -> Vec<TenantJob> {
         self.jobs.iter().map(build_tenant).collect()
     }
@@ -368,7 +368,7 @@ pub fn render_job(o: &JobOutcome) -> String {
 
 /// Render a whole run as the byte-stable `mcio.multitenant.v1`
 /// document.
-pub fn render_run(machine: &str, mt: &MultiTenantReport) -> String {
+pub fn render_run(machine: &str, mt: &RunOutcome) -> String {
     let mut out = String::from("{\n  \"schema\": \"mcio.multitenant.v1\",\n");
     let _ = writeln!(out, "  \"machine\": \"{}\",", escape_json(machine));
     let _ = writeln!(out, "  \"tenants\": {},", mt.jobs.len());
@@ -385,8 +385,7 @@ pub fn render_run(machine: &str, mt: &MultiTenantReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcio_core::exec_sim::Observe;
-    use mcio_core::run_multitenant;
+    use mcio_core::{run, RunSpec};
 
     const SPEC: &str = "\
 # two tenants on a shared 8-node machine
@@ -474,17 +473,10 @@ job b ranks=8 ppn=2 node_offset=4 start=250us per_proc=256K segments=2 buffer=25
         let run = |spec: &MtSpec, jobs: &[TenantJob]| {
             render_run(
                 &spec.machine.name,
-                &run_multitenant(
-                    jobs,
-                    &spec.machine,
-                    spec.faults.as_ref(),
-                    Observe {
-                        registry: None,
-                        trace: false,
-                        prof: None,
-                        ..Observe::default()
-                    },
-                ),
+                &run(&RunSpec {
+                    faults: spec.faults.as_ref(),
+                    ..RunSpec::new(jobs, &spec.machine)
+                }),
             )
         };
         let doc = run(&spec, &jobs);

@@ -12,8 +12,10 @@
 use crate::{Harness, TESTBED_PPN};
 use mcio_analyze::{critical_path, CriticalPath, TraceModel};
 use mcio_cluster::spec::ClusterSpec;
-use mcio_core::exec_sim::{simulate_observed, Exchange, Observe, Pipeline};
-use mcio_core::{mcio, twophase, CollectiveRequest, Rw, Strategy};
+use mcio_core::{
+    mcio, run, simulate_observed, twophase, CollectiveRequest, Exchange, Observe, Pipeline,
+    RunSpec, Rw, Strategy, TenantJob,
+};
 use mcio_des::SharePolicy;
 use mcio_obs::json::{self, JsonValue};
 
@@ -316,22 +318,20 @@ fn run_cell_inner(
         Strategy::MemoryConscious => mcio::plan(&req, &harness.map, &env, &cfg),
     };
     drop(plan_scope);
-    let (timing, trace_json) = simulate_observed(
-        &plan,
-        &harness.map,
-        &harness.spec,
-        Pipeline::Serial,
-        Exchange::Direct,
-        Observe {
+    let jobs = [TenantJob::new(s.name, plan, harness.map.clone())];
+    let mut outcome = run(&RunSpec {
+        observe: Observe {
             registry: None,
             trace: true,
             prof: Some(prof),
             engine: s.engine,
         },
-    );
+        ..RunSpec::new(&jobs, &harness.spec)
+    });
+    let timing = outcome.jobs.remove(0).report;
     let _analyze_scope = prof.scope("analyze");
-    let model = TraceModel::from_chrome_json(&trace_json.expect("trace requested"))
-        .expect("simulator emits a valid chrome trace");
+    // The collector is analyzed in memory: no JSON round trip.
+    let model = TraceModel::from_collector(outcome.trace.as_ref().expect("trace requested"));
     let record = Record {
         scenario: s.name.to_string(),
         strategy: strategy.label().to_string(),

@@ -12,13 +12,27 @@
 //!   adaptive runs replay deterministically, trace bytes included.
 
 use mcio_bench::mtspec::{JobSpec, MtSpec};
-use mcio_core::exec_sim::Observe;
 use mcio_core::{
-    exec_fn, run_multitenant, run_multitenant_adaptive, AdaptivePolicy, CollectiveRequest, Extent,
-    Rw,
+    exec_fn, run, AdaptivePolicy, CollectiveRequest, Extent, Observe, RunOutcome, RunSpec, Rw,
+    TenantJob,
 };
 use mcio_pfs::SparseFile;
 use mcio_workloads::Ior;
+
+/// The fixture's jobs on its machine under its fault plan.
+fn run_fixture(
+    spec: &MtSpec,
+    jobs: &[TenantJob],
+    policy: AdaptivePolicy,
+    observe: Observe<'_>,
+) -> RunOutcome {
+    run(&RunSpec {
+        faults: spec.faults.as_ref(),
+        policy,
+        observe,
+        ..RunSpec::new(jobs, &spec.machine)
+    })
+}
 
 fn fixture() -> MtSpec {
     MtSpec::parse(include_str!("fixtures/overlap.mtspec")).expect("overlap fixture parses")
@@ -73,13 +87,7 @@ fn shared_nodes_perturb_time_never_data() {
         AdaptivePolicy::Conservative,
         AdaptivePolicy::Aggressive,
     ] {
-        let mt = run_multitenant_adaptive(
-            &jobs,
-            &spec.machine,
-            spec.faults.as_ref(),
-            policy,
-            Observe::default(),
-        );
+        let mt = run_fixture(&spec, &jobs, policy, Observe::default());
         assert_eq!(mt.jobs.len(), 2);
         for (ji, outcome) in mt.jobs.iter().enumerate() {
             // The bytes a job writes are a property of its plan; the
@@ -109,28 +117,29 @@ fn off_policy_is_byte_identical_to_static_runner() {
         prof: None,
         ..Observe::default()
     };
-    let fixed = run_multitenant(&jobs, &spec.machine, spec.faults.as_ref(), obs());
-    let off = run_multitenant_adaptive(
-        &jobs,
-        &spec.machine,
-        spec.faults.as_ref(),
-        AdaptivePolicy::Off,
-        obs(),
-    );
+    let fixed = run(&RunSpec {
+        faults: spec.faults.as_ref(),
+        observe: obs(),
+        ..RunSpec::new(&jobs, &spec.machine)
+    });
+    let off = run_fixture(&spec, &jobs, AdaptivePolicy::Off, obs());
     assert_eq!(fixed.jobs, off.jobs, "Off must take the static code path");
     assert_eq!(fixed.makespan, off.makespan);
-    assert_eq!(fixed.trace, off.trace, "trace bytes must be identical");
+    assert_eq!(
+        fixed.trace_json(),
+        off.trace_json(),
+        "trace bytes must be identical"
+    );
 }
 
 #[test]
 fn adaptive_runs_replay_deterministically() {
     let spec = fixture();
     let jobs = spec.build_jobs();
-    let run = || {
-        run_multitenant_adaptive(
+    let replay = || {
+        run_fixture(
+            &spec,
             &jobs,
-            &spec.machine,
-            spec.faults.as_ref(),
             AdaptivePolicy::Aggressive,
             Observe {
                 registry: None,
@@ -140,9 +149,13 @@ fn adaptive_runs_replay_deterministically() {
             },
         )
     };
-    let a = run();
-    let b = run();
+    let a = replay();
+    let b = replay();
     assert_eq!(a.jobs, b.jobs, "outcomes must replay identically");
     assert_eq!(a.makespan, b.makespan);
-    assert_eq!(a.trace, b.trace, "trace bytes must replay identically");
+    assert_eq!(
+        a.trace_json(),
+        b.trace_json(),
+        "trace bytes must replay identically"
+    );
 }

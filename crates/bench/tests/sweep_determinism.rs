@@ -9,8 +9,9 @@
 
 use mcio_cluster::spec::ClusterSpec;
 use mcio_cluster::ProcessMap;
-use mcio_core::exec_sim::{simulate_opts, Pipeline};
-use mcio_core::{CollectiveConfig, CollectiveRequest, Extent, PlanCache, ProcMemory, Rw, Strategy};
+use mcio_core::{
+    simulate, CollectiveConfig, CollectiveRequest, Extent, PlanCache, ProcMemory, Rw, Strategy,
+};
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
@@ -47,7 +48,7 @@ fn simulate_record(seed: u64, cache: &PlanCache) -> String {
         Strategy::TwoPhase
     };
     let plan = cache.get_or_plan(strategy, &req, &map, &mem, &cfg);
-    let report = simulate_opts(&plan, &map, &spec, Pipeline::Serial);
+    let report = simulate(&plan, &map, &spec);
     format!(
         "seed={seed} strategy={} elapsed={} aggs={} rounds={}",
         strategy.label(),

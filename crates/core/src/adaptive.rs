@@ -40,6 +40,7 @@ use crate::memory::ProcMemory;
 use crate::plan::{CollectivePlan, GroupPlan};
 use mcio_cluster::{NodeId, ProcessMap, Rank};
 use mcio_faults::FaultSpec;
+use mcio_obs::{Labels, Registry};
 
 /// How eagerly the controller re-plans. The knob trades reaction speed
 /// against stability: `Conservative` waits for strong, sustained
@@ -459,6 +460,52 @@ pub struct AdaptiveOutcome {
     pub resplits: usize,
     /// `(old, new)` group granularity when the re-tune moved it.
     pub retuned: Option<(u64, u64)>,
+}
+
+impl AdaptiveOutcome {
+    /// Record what the controller did as `adaptive.*` metrics under
+    /// `labels`. A shared machine's controller only ever defers, so
+    /// `deferrals_only` leaves out the demotion, re-split and re-tune
+    /// counters.
+    pub(crate) fn record_into(&self, reg: &Registry, labels: Labels<'_>, deferrals_only: bool) {
+        reg.describe(
+            "adaptive.severity",
+            "fraction",
+            "Sampled degradation severity the controller saw",
+        );
+        reg.describe(
+            "adaptive.deferrals",
+            "count",
+            "Rounds deferred past a degraded OST window",
+        );
+        reg.describe(
+            "adaptive.demotions",
+            "count",
+            "Aggregators demoted off shocked nodes",
+        );
+        reg.describe(
+            "adaptive.resplits",
+            "count",
+            "Extra rounds created by adaptive re-splitting",
+        );
+        reg.describe(
+            "adaptive.retunes",
+            "count",
+            "Msg_group re-tunes applied by the controller",
+        );
+        reg.set_gauge("adaptive.severity", labels, self.severity);
+        reg.inc("adaptive.deferrals", labels, self.deferrals as u64);
+        if deferrals_only {
+            return;
+        }
+        reg.inc("adaptive.demotions", labels, self.demotions as u64);
+        reg.inc("adaptive.resplits", labels, self.resplits as u64);
+        reg.inc(
+            "adaptive.retunes",
+            labels,
+            u64::from(self.retuned.is_some()),
+        );
+    }
 }
 
 #[cfg(test)]

@@ -1,7 +1,9 @@
 //! Resilient collective execution under an injected fault plan.
 //!
-//! [`simulate_faulted`] runs a [`CollectivePlan`] against a
-//! [`mcio_faults::FaultSpec`] and makes the execution *survive* it:
+//! A [`run`](crate::run) whose [`RunSpec`] carries the job's memory
+//! budgets ([`RunSpec::memory`]) is a *resilient solo run*: one
+//! [`CollectivePlan`] against a [`mcio_faults::FaultSpec`], executed so
+//! that it *survives* the plan:
 //!
 //! * **Retry/backoff** — transient per-request OST failures are absorbed
 //!   inside the PFS client as bounded, seeded retry chains (see
@@ -38,30 +40,41 @@
 //! consumers. Recovery is therefore re-selection plus re-routing, not
 //! data reconstruction.
 //!
+//! # Passes
+//!
+//! Every pass is a call of the one simulation core (`exec_sim`'s
+//! `run_machine`) with this module deciding what to lower: a probe of
+//! the untransformed plan under the OST/transient faults (which rounds
+//! were in flight when each structural event struck), the nominal
+//! fault-free timeline when the controller runs (also the solo
+//! baseline), and the final pass of the transformed plan behind its
+//! failover and controller gates. What recovery did is reported as
+//! [`FaultOutcome`] on [`RunOutcome::recovery`].
+//!
 //! # Determinism
 //!
-//! Both passes are ordinary deterministic DES runs; every stochastic
+//! Every pass is an ordinary deterministic DES run; every stochastic
 //! choice (transient failures, backoff jitter) hashes the
 //! [`mcio_faults::FaultSpec::seed`]. Two runs with identical inputs
 //! produce byte-identical traces and reports.
 
 use crate::adaptive::{
     observed_granularity, plan_deferrals, select_contended_replacement, AdaptiveOutcome,
-    AdaptivePolicy, SignalSnapshot,
+    SignalSnapshot,
 };
 use crate::config::Strategy;
 use crate::exec_sim::{
-    simulate_inner, Exchange, FaultGate, FaultInjection, Observe, Pipeline, ReplanMark,
-    RoundWindow, SimRun, TimingReport,
+    run_machine, slowdown, solo_run, FaultGate, JobOutcome, JobRun, MachineJob, MachineRun,
+    ReplanMark, RoundWindow, RunOutcome, RunSpec, TenantJob,
 };
 use crate::memory::ProcMemory;
 use crate::plan::{AggregatorAssignment, CollectivePlan, GroupPlan, IoOp, Round, SyncMode};
 use crate::tuner::{retune_from_signals, TunedParams};
-use mcio_cluster::spec::ClusterSpec;
 use mcio_cluster::{NodeId, ProcessMap, Rank};
 use mcio_des::{SimDuration, SimTime};
-use mcio_faults::{FaultEvent, FaultSpec};
+use mcio_faults::FaultEvent;
 use mcio_pfs::{Extent, Rw};
+use std::borrow::Cow;
 
 /// Fixed failure-detection + re-coordination latency charged before the
 /// first re-targeted round of a group may start after a crash. Models
@@ -69,13 +82,11 @@ use mcio_pfs::{Extent, Rw};
 /// constant so faulted runs stay byte-deterministic.
 pub const FAILOVER_LATENCY: SimDuration = SimDuration::from_micros(500);
 
-/// What a faulted run produced, beyond the plain timing report.
+/// What structural recovery did in a resilient solo run
+/// ([`RunOutcome::recovery`]); the timing, trace and controller
+/// outcome live on the [`RunOutcome`] itself.
 #[derive(Debug)]
 pub struct FaultOutcome {
-    /// Timing of the (possibly transformed) plan under injection.
-    pub report: TimingReport,
-    /// Unified Chrome trace (pid 3 = fault lanes) when requested.
-    pub trace: Option<String>,
     /// Whether the collective delivered every byte. `false` only when a
     /// structural fault hit a plan with no recovery path (two-phase
     /// under `agg_crash`, or no replacement candidate).
@@ -94,61 +105,43 @@ pub struct FaultOutcome {
     /// [`crate::exec_fn::execute_write`] yields bytes identical to the
     /// fault-free plan whenever `completed` is true.
     pub executed_plan: CollectivePlan,
-    /// What the closed-loop controller did (all-zero under
-    /// [`AdaptivePolicy::Off`]).
-    pub adaptive: AdaptiveOutcome,
 }
 
-/// Simulate `plan` under the fault plan `fspec`, surviving what can be
-/// survived. `mem` drives replacement-aggregator selection (same budget
-/// data the planner used). Equivalent to [`simulate_adaptive`] with
-/// [`AdaptivePolicy::Off`]: the static resilience paths only.
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_faulted(
-    plan: &CollectivePlan,
-    map: &ProcessMap,
-    spec: &ClusterSpec,
-    mem: &ProcMemory,
-    pipeline: Pipeline,
-    exchange: Exchange,
-    fspec: &FaultSpec,
-    obs: Observe<'_>,
-) -> FaultOutcome {
-    simulate_adaptive(
-        plan,
-        map,
-        spec,
-        mem,
-        pipeline,
-        exchange,
-        fspec,
-        AdaptivePolicy::Off,
-        obs,
-    )
-}
-
-/// [`simulate_faulted`] with the closed-loop controller enabled: between
-/// the probe pass and the final pass, [`SignalSnapshot`]-driven
-/// decisions re-tune the round granularity, demote aggregators off
-/// memory-shocked nodes (contention-aware three-tier re-selection), and
-/// defer rounds past degraded OST windows when the probe says waiting
-/// beats crawling. The controller only acts on the MC-CIO strategy —
-/// the two-phase baseline stays static by design, mirroring its lack of
-/// a failover path — and only when `fspec` is non-empty, so
-/// [`AdaptivePolicy::Off`] (and any run the controller skips) is
-/// byte-identical to the static path.
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_adaptive(
-    plan: &CollectivePlan,
-    map: &ProcessMap,
-    spec: &ClusterSpec,
-    mem: &ProcMemory,
-    pipeline: Pipeline,
-    exchange: Exchange,
-    fspec: &FaultSpec,
-    policy: AdaptivePolicy,
-    obs: Observe<'_>,
-) -> FaultOutcome {
+/// The resilient solo run behind [`run`](crate::run) when
+/// [`RunSpec::memory`] is given: `job` alone on the machine under
+/// `spec.faults`, surviving what can be survived. `mem` drives
+/// replacement-aggregator selection (same budget data the planner
+/// used).
+///
+/// With the closed-loop controller on, [`SignalSnapshot`]-driven
+/// decisions between the probe pass and the final pass re-tune the
+/// round granularity, demote aggregators off memory-shocked nodes
+/// (contention-aware three-tier re-selection), and defer rounds past
+/// degraded OST windows when the probe says waiting beats crawling.
+/// The controller only acts on the MC-CIO strategy — the two-phase
+/// baseline stays static by design, mirroring its lack of a failover
+/// path — and only under a non-empty fault plan, so
+/// [`AdaptivePolicy::Off`](crate::AdaptivePolicy::Off) (and any run
+/// the controller skips) is byte-identical to the static path.
+pub(crate) fn run_resilient(spec: &RunSpec<'_>, job: &TenantJob, mem: &ProcMemory) -> RunOutcome {
+    let (plan, map, machine, policy, obs) =
+        (&job.plan, &job.map, spec.machine, spec.policy, spec.observe);
+    let solo = MachineJob::of(job);
+    let Some(fspec) = spec.faults else {
+        // Nothing to survive: the plain run, which is also its own
+        // fault-free baseline.
+        let run = run_machine(std::slice::from_ref(&solo), machine, None, obs);
+        return solo_outcome(
+            job,
+            run,
+            None,
+            AdaptiveOutcome {
+                policy,
+                ..AdaptiveOutcome::default()
+            },
+            None,
+        );
+    };
     let structural = fspec
         .events
         .iter()
@@ -171,22 +164,14 @@ pub fn simulate_adaptive(
     // still in flight when each structural event struck, and the
     // degraded timeline the controller compares against nominal.
     let pass1 = (structural || adaptive).then(|| {
-        let probe = FaultInjection {
-            spec: Some(fspec),
-            ..FaultInjection::default()
-        };
-        simulate_inner(
-            plan,
-            map,
-            spec,
-            pipeline,
-            exchange,
-            Observe {
-                engine: obs.engine,
-                ..Observe::default()
-            },
-            Some(&probe),
+        run_machine(
+            std::slice::from_ref(&solo),
+            machine,
+            Some(fspec),
+            obs.engine_only(),
         )
+        .jobs
+        .remove(0)
     });
 
     if structural {
@@ -202,8 +187,8 @@ pub fn simulate_adaptive(
                     .filter(|&r| map.node_of(r) == NodeId(host))
                     .collect();
                 for cr in crashed {
-                    let affected =
-                        affected_rounds(g, plan.rw, cr, &pass1.windows, plan.sync, gi, at_ns);
+                    let gkey = group_key(plan.sync, gi);
+                    let affected = rounds_after(g, plan.rw, cr, &pass1.windows, gkey, at_ns, true);
                     if affected.is_empty() {
                         continue;
                     }
@@ -217,22 +202,8 @@ pub fn simulate_adaptive(
                         completed = false;
                         continue;
                     };
-                    if !g.aggregators.iter().any(|a| a.rank == repl) {
-                        let (fd, data_bytes) = g
-                            .aggregators
-                            .iter()
-                            .find(|a| a.rank == cr)
-                            .map(|a| (a.fd, a.data_bytes))
-                            .unwrap_or((Extent::EMPTY, 0));
-                        g.aggregators.push(AggregatorAssignment {
-                            rank: repl,
-                            fd,
-                            buffer: repl_buffer,
-                            data_bytes,
-                        });
-                    }
+                    adopt_replacement(g, cr, repl, repl_buffer);
                     failovers += 1;
-                    let gkey = group_key(plan.sync, gi);
                     let first = *affected.first().expect("non-empty");
                     if !gates.iter().any(|gt| gt.group == gkey && gt.round == first) {
                         gates.push(FaultGate {
@@ -261,24 +232,14 @@ pub fn simulate_adaptive(
     // structural mem-shock re-rounding below: an aggregator this block
     // demotes off a shocked node no longer needs its future rounds
     // split at the shrunken buffer.
+    let mut clean: Option<JobRun> = None;
     if adaptive {
         let pass1 = pass1.as_ref().expect("probe ran");
-        // Nominal timeline of the same plan: the deferral comparator
-        // and the sampling horizon.
-        let clean = simulate_inner(
-            plan,
-            map,
-            spec,
-            pipeline,
-            exchange,
-            Observe {
-                engine: obs.engine,
-                ..Observe::default()
-            },
-            None,
-        );
+        // Nominal timeline of the same plan: the deferral comparator,
+        // the sampling horizon and the solo baseline.
+        let clean = clean.insert(solo_run(&solo, machine, obs));
         let horizon = clean.report.elapsed.as_nanos();
-        let signals = SignalSnapshot::sample(fspec, spec.io_servers, horizon, 0.0);
+        let signals = SignalSnapshot::sample(fspec, machine.io_servers, horizon, 0.0);
         adaptive_out.severity = signals.severity();
         if adaptive_out.severity > policy.dead_band() {
             // (1) Re-tune the observed round granularity. The tuned
@@ -325,8 +286,9 @@ pub fn simulate_adaptive(
                         .filter(|&r| map.node_of(r) == NodeId(node))
                         .collect();
                     for agg in shocked {
+                        let gkey = group_key(plan.sync, gi);
                         let affected =
-                            future_rounds(g, plan.rw, agg, &pass1.windows, plan.sync, gi, at_ns);
+                            rounds_after(g, plan.rw, agg, &pass1.windows, gkey, at_ns, false);
                         if affected.is_empty() {
                             continue;
                         }
@@ -338,22 +300,8 @@ pub fn simulate_adaptive(
                         if repl == agg {
                             continue;
                         }
-                        if !g.aggregators.iter().any(|a| a.rank == repl) {
-                            let (fd, data_bytes) = g
-                                .aggregators
-                                .iter()
-                                .find(|a| a.rank == agg)
-                                .map(|a| (a.fd, a.data_bytes))
-                                .unwrap_or((Extent::EMPTY, 0));
-                            g.aggregators.push(AggregatorAssignment {
-                                rank: repl,
-                                fd,
-                                buffer: repl_buffer,
-                                data_bytes,
-                            });
-                        }
+                        adopt_replacement(g, agg, repl, repl_buffer);
                         adaptive_out.demotions += 1;
-                        let gkey = group_key(plan.sync, gi);
                         let first = *affected.first().expect("non-empty");
                         if !gates.iter().any(|gt| gt.group == gkey && gt.round == first) {
                             gates.push(FaultGate {
@@ -403,7 +351,7 @@ pub fn simulate_adaptive(
             for d in plan_deferrals(
                 fspec,
                 policy,
-                spec.io_servers,
+                machine.io_servers,
                 &clean.windows,
                 &pass1.windows,
                 0,
@@ -458,9 +406,8 @@ pub fn simulate_adaptive(
                     })
                     .collect();
                 for (agg, effective) in shocked {
-                    let affected =
-                        affected_rounds(g, plan.rw, agg, &pass1.windows, plan.sync, gi, at_ns);
                     let gkey = group_key(plan.sync, gi);
+                    let affected = rounds_after(g, plan.rw, agg, &pass1.windows, gkey, at_ns, true);
                     for r in affected {
                         for appended in split_oversized(g, r, agg, effective, plan.rw) {
                             degraded.push((gkey, appended));
@@ -473,20 +420,28 @@ pub fn simulate_adaptive(
 
     // Pass 2 (or the only pass): the transformed plan under the full
     // injection, observed as the caller asked.
-    let injection = FaultInjection {
-        spec: Some(fspec),
+    let degraded_rounds = degraded.len();
+    let last = MachineJob {
         gates,
         degraded,
         replans,
+        ..MachineJob::new(
+            &job.label,
+            &xplan,
+            Cow::Borrowed(map),
+            job.pipeline,
+            job.exchange,
+        )
     };
-    let run: SimRun = simulate_inner(&xplan, map, spec, pipeline, exchange, obs, Some(&injection));
+    // The job (borrowing `xplan`) lives only for this call, so the
+    // transformed plan can move into the recovery report below.
+    let run = run_machine(&[last], machine, Some(fspec), obs);
     let retries: u64 = run
         .retry_marks
         .iter()
         .map(|m| u64::from(m.attempts.saturating_sub(1)))
         .sum();
     let retry_exhausted = run.retry_marks.iter().filter(|m| m.exhausted).count() as u64;
-    let degraded_rounds = injection.degraded.len();
 
     if let Some(reg) = obs.registry {
         let strat = [("strategy", plan.strategy.label())];
@@ -525,53 +480,62 @@ pub fn simulate_adaptive(
                 ("strategy", plan.strategy.label()),
                 ("policy", policy.label()),
             ];
-            reg.describe(
-                "adaptive.severity",
-                "fraction",
-                "Sampled degradation severity the controller saw",
-            );
-            reg.describe(
-                "adaptive.deferrals",
-                "count",
-                "Rounds deferred past a degraded OST window",
-            );
-            reg.describe(
-                "adaptive.demotions",
-                "count",
-                "Aggregators demoted off shocked nodes",
-            );
-            reg.describe(
-                "adaptive.resplits",
-                "count",
-                "Extra rounds created by adaptive re-splitting",
-            );
-            reg.describe(
-                "adaptive.retunes",
-                "count",
-                "Msg_group re-tunes applied by the controller",
-            );
-            reg.set_gauge("adaptive.severity", &lab, adaptive_out.severity);
-            reg.inc("adaptive.deferrals", &lab, adaptive_out.deferrals as u64);
-            reg.inc("adaptive.demotions", &lab, adaptive_out.demotions as u64);
-            reg.inc("adaptive.resplits", &lab, adaptive_out.resplits as u64);
-            reg.inc(
-                "adaptive.retunes",
-                &lab,
-                u64::from(adaptive_out.retuned.is_some()),
-            );
+            adaptive_out.record_into(reg, &lab, false);
         }
     }
 
-    FaultOutcome {
-        report: run.report,
-        trace: run.trace,
+    // The fault-free solo baseline: the controller's clean pass when
+    // it ran; the run itself when the plan was empty (nothing was
+    // injected); one more plain pass otherwise.
+    let solo_elapsed = match clean {
+        Some(clean) => Some(clean.report.elapsed),
+        None if fspec.is_empty() => None,
+        None => Some(solo_run(&solo, machine, obs).report.elapsed),
+    };
+    let recovery = FaultOutcome {
         completed,
         failovers,
         degraded_rounds,
         retries,
         retry_exhausted,
         executed_plan: xplan,
-        adaptive: adaptive_out,
+    };
+    solo_outcome(job, run, solo_elapsed, adaptive_out, Some(recovery))
+}
+
+/// Wrap the one job of a resilient solo run into a [`RunOutcome`].
+/// `solo_elapsed` is the fault-free baseline, `None` when `run` is
+/// that baseline.
+fn solo_outcome(
+    job: &TenantJob,
+    mut run: MachineRun,
+    solo_elapsed: Option<SimDuration>,
+    adaptive: AdaptiveOutcome,
+    recovery: Option<FaultOutcome>,
+) -> RunOutcome {
+    let JobRun {
+        report,
+        start_ns,
+        end_ns,
+        ..
+    } = run.jobs.remove(0);
+    let solo_elapsed = solo_elapsed.unwrap_or(report.elapsed);
+    RunOutcome {
+        jobs: vec![JobOutcome {
+            label: job.label.clone(),
+            strategy: job.plan.strategy,
+            slowdown: slowdown(report.elapsed, solo_elapsed),
+            report,
+            start_ns,
+            end_ns,
+            solo_elapsed,
+            ost_overlap: 0.0,
+            adaptive,
+        }],
+        makespan: run.makespan,
+        engine: run.engine,
+        trace: run.trace,
+        recovery,
     }
 }
 
@@ -584,20 +548,22 @@ fn group_key(sync: SyncMode, gi: usize) -> Option<usize> {
     }
 }
 
-/// Rounds of `g` that involve aggregator `agg` and were still in flight
-/// (or not yet started) at `at_ns`, per the pass-1 windows. Rounds with
-/// no recorded window (e.g. created by an earlier transform) count as
-/// affected.
-fn affected_rounds(
+/// Rounds of `g` that involve aggregator `agg` and, per the pass-1
+/// windows of chain `gkey`, were still in flight at `at_ns`
+/// (`in_flight`: the window ends after it) or had not *started* yet
+/// (the window starts after it — the adaptive demotion path only
+/// re-targets rounds that can still change aggregator cleanly). Rounds
+/// with no recorded window (created by an earlier transform, executed
+/// at the end of the chain) count either way.
+fn rounds_after(
     g: &GroupPlan,
     rw: Rw,
     agg: Rank,
     windows: &[RoundWindow],
-    sync: SyncMode,
-    gi: usize,
+    gkey: Option<usize>,
     at_ns: u64,
+    in_flight: bool,
 ) -> Vec<usize> {
-    let gkey = group_key(sync, gi);
     (0..g.rounds.len())
         .filter(|&r| {
             let round = &g.rounds[r];
@@ -609,52 +575,37 @@ fn affected_rounds(
             if !involves {
                 return false;
             }
-            let end = windows
+            let slot = windows
                 .iter()
-                .filter(|w| w.round == r && (w.group == gkey || w.group.is_none()))
-                .map(|w| w.end_ns)
-                .max()
-                .unwrap_or(u64::MAX);
-            end > at_ns
+                .filter(|w| w.round == r && (w.group == gkey || w.group.is_none()));
+            let edge = if in_flight {
+                slot.map(|w| w.end_ns).max()
+            } else {
+                slot.map(|w| w.start_ns).min()
+            };
+            edge.unwrap_or(u64::MAX) > at_ns
         })
         .collect()
 }
 
-/// Rounds of `g` that involve aggregator `agg` and had not *started*
-/// yet at `at_ns`, per the pass-1 windows — the adaptive demotion path
-/// only re-targets rounds that can still change aggregator cleanly.
-/// Rounds with no recorded window (created by an earlier transform,
-/// executed at the end of the chain) count as future.
-fn future_rounds(
-    g: &GroupPlan,
-    rw: Rw,
-    agg: Rank,
-    windows: &[RoundWindow],
-    sync: SyncMode,
-    gi: usize,
-    at_ns: u64,
-) -> Vec<usize> {
-    let gkey = group_key(sync, gi);
-    (0..g.rounds.len())
-        .filter(|&r| {
-            let round = &g.rounds[r];
-            let involves = round.ios.iter().any(|io| io.agg == agg)
-                || round.messages.iter().any(|m| match rw {
-                    Rw::Write => m.dst == agg,
-                    Rw::Read => m.src == agg,
-                });
-            if !involves {
-                return false;
-            }
-            let start = windows
-                .iter()
-                .filter(|w| w.round == r && (w.group == gkey || w.group.is_none()))
-                .map(|w| w.start_ns)
-                .min()
-                .unwrap_or(u64::MAX);
-            start > at_ns
-        })
-        .collect()
+/// Add `repl` to `g`'s aggregators (taking over `from`'s file domain
+/// and data share, with its own `buffer`) unless it already is one.
+fn adopt_replacement(g: &mut GroupPlan, from: Rank, repl: Rank, buffer: u64) {
+    if g.aggregators.iter().any(|a| a.rank == repl) {
+        return;
+    }
+    let (fd, data_bytes) = g
+        .aggregators
+        .iter()
+        .find(|a| a.rank == from)
+        .map(|a| (a.fd, a.data_bytes))
+        .unwrap_or((Extent::EMPTY, 0));
+    g.aggregators.push(AggregatorAssignment {
+        rank: repl,
+        fd,
+        buffer,
+        data_bytes,
+    });
 }
 
 /// Memory-aware replacement selection, mirroring the planner's placement
@@ -805,9 +756,13 @@ mod tests {
     use super::*;
     use crate::config::CollectiveConfig;
     use crate::exec_fn;
+    use crate::exec_sim::TimingReport;
     use crate::request::CollectiveRequest;
+    use crate::run;
     use crate::{mcio, twophase};
+    use mcio_cluster::spec::ClusterSpec;
     use mcio_cluster::Placement;
+    use mcio_faults::FaultSpec;
     use mcio_pfs::SparseFile;
 
     const MIB: u64 = 1 << 20;
@@ -840,6 +795,39 @@ mod tests {
         (req, map, mem, cfg, spec)
     }
 
+    /// What the tests read off one resilient run.
+    struct Faulted {
+        report: TimingReport,
+        trace: Option<String>,
+        recovery: FaultOutcome,
+    }
+
+    /// `plan` alone under `fault`, with structural recovery armed.
+    fn faulted(
+        plan: &CollectivePlan,
+        map: &ProcessMap,
+        spec: &ClusterSpec,
+        mem: &ProcMemory,
+        fault: &FaultSpec,
+        trace: bool,
+    ) -> Faulted {
+        let jobs = [TenantJob::new("solo", plan.clone(), map.clone())];
+        let mut out = run(&RunSpec {
+            faults: Some(fault),
+            observe: crate::Observe {
+                trace,
+                ..crate::Observe::default()
+            },
+            memory: Some(mem),
+            ..RunSpec::new(&jobs, spec)
+        });
+        Faulted {
+            trace: out.trace_json(),
+            report: out.jobs.remove(0).report,
+            recovery: out.recovery.expect("a faulted run reports its recovery"),
+        }
+    }
+
     fn written(plan: &CollectivePlan, len: u64) -> Vec<u8> {
         let mut file = SparseFile::new();
         exec_fn::execute_write(plan, &mut file).expect("plan executes");
@@ -851,20 +839,11 @@ mod tests {
         let (req, map, mem, cfg, spec) = setup(8, 2, 2 * MIB);
         let plan = mcio::plan(&req, &map, &mem, &cfg);
         let base = crate::exec_sim::simulate(&plan, &map, &spec);
-        let out = simulate_faulted(
-            &plan,
-            &map,
-            &spec,
-            &mem,
-            Pipeline::Serial,
-            Exchange::Direct,
-            &FaultSpec::none(),
-            Observe::default(),
-        );
-        assert!(out.completed);
+        let out = faulted(&plan, &map, &spec, &mem, &FaultSpec::none(), false);
+        assert!(out.recovery.completed);
         assert_eq!(out.report.elapsed, base.elapsed);
-        assert_eq!(out.failovers, 0);
-        assert_eq!(out.degraded_rounds, 0);
+        assert_eq!(out.recovery.failovers, 0);
+        assert_eq!(out.recovery.degraded_rounds, 0);
     }
 
     #[test]
@@ -872,21 +851,18 @@ mod tests {
         let (req, map, mem, cfg, spec) = setup(8, 2, 2 * MIB);
         let plan = mcio::plan(&req, &map, &mem, &cfg);
         let fault = FaultSpec::parse("seed 7\nagg_crash(0, 1ms)").unwrap();
-        let out = simulate_faulted(
-            &plan,
-            &map,
-            &spec,
-            &mem,
-            Pipeline::Serial,
-            Exchange::Direct,
-            &fault,
-            Observe::default(),
+        let out = faulted(&plan, &map, &spec, &mem, &fault, false);
+        assert!(
+            out.recovery.completed,
+            "MC-CIO must survive an aggregator crash"
         );
-        assert!(out.completed, "MC-CIO must survive an aggregator crash");
-        assert!(out.failovers > 0, "crash at t=1ms must trigger a failover");
+        assert!(
+            out.recovery.failovers > 0,
+            "crash at t=1ms must trigger a failover"
+        );
         let total = 8 * 2 * MIB;
         assert_eq!(
-            written(&out.executed_plan, total),
+            written(&out.recovery.executed_plan, total),
             written(&plan, total),
             "failover must not change the bytes written"
         );
@@ -901,18 +877,9 @@ mod tests {
         let (req, map, mem, cfg, spec) = setup(8, 2, 2 * MIB);
         let plan = twophase::plan(&req, &map, &mem, &cfg);
         let fault = FaultSpec::parse("seed 7\nagg_crash(0, 1ms)").unwrap();
-        let out = simulate_faulted(
-            &plan,
-            &map,
-            &spec,
-            &mem,
-            Pipeline::Serial,
-            Exchange::Direct,
-            &fault,
-            Observe::default(),
-        );
-        assert!(!out.completed, "baseline has no failover path");
-        assert_eq!(out.failovers, 0);
+        let out = faulted(&plan, &map, &spec, &mem, &fault, false);
+        assert!(!out.recovery.completed, "baseline has no failover path");
+        assert_eq!(out.recovery.failovers, 0);
     }
 
     #[test]
@@ -920,18 +887,9 @@ mod tests {
         let (req, map, mem, cfg, spec) = setup(8, 2, 2 * MIB);
         let plan = mcio::plan(&req, &map, &mem, &cfg);
         let fault = FaultSpec::parse("seed 7\nagg_crash(0, 1000s)").unwrap();
-        let out = simulate_faulted(
-            &plan,
-            &map,
-            &spec,
-            &mem,
-            Pipeline::Serial,
-            Exchange::Direct,
-            &fault,
-            Observe::default(),
-        );
-        assert!(out.completed);
-        assert_eq!(out.failovers, 0);
+        let out = faulted(&plan, &map, &spec, &mem, &fault, false);
+        assert!(out.recovery.completed);
+        assert_eq!(out.recovery.failovers, 0);
         assert_eq!(
             out.report.elapsed,
             crate::exec_sim::simulate(&plan, &map, &spec).elapsed
@@ -943,26 +901,17 @@ mod tests {
         let (req, map, mem, cfg, spec) = setup(8, 2, 2 * MIB);
         let plan = mcio::plan(&req, &map, &mem, &cfg);
         let fault = FaultSpec::parse("seed 7\nmem_shock(0, 0.75, 0ns)").unwrap();
-        let out = simulate_faulted(
-            &plan,
-            &map,
-            &spec,
-            &mem,
-            Pipeline::Serial,
-            Exchange::Direct,
-            &fault,
-            Observe::default(),
-        );
-        assert!(out.completed);
+        let out = faulted(&plan, &map, &spec, &mem, &fault, false);
+        assert!(out.recovery.completed);
         let total = 8 * 2 * MIB;
         assert_eq!(
-            written(&out.executed_plan, total),
+            written(&out.recovery.executed_plan, total),
             written(&plan, total),
             "degradation must not change the bytes written"
         );
-        if out.degraded_rounds > 0 {
+        if out.recovery.degraded_rounds > 0 {
             assert!(
-                out.executed_plan.max_rounds() > plan.max_rounds(),
+                out.recovery.executed_plan.max_rounds() > plan.max_rounds(),
                 "degradation re-rounds by appending rounds"
             );
         }
@@ -974,18 +923,10 @@ mod tests {
         let plan = mcio::plan(&req, &map, &mem, &cfg);
         plan.check(&req).expect("input plan is sound");
         let fault = FaultSpec::parse("seed 3\nagg_crash(0, 1ms)\nmem_shock(1, 0.5, 2ms)").unwrap();
-        let out = simulate_faulted(
-            &plan,
-            &map,
-            &spec,
-            &mem,
-            Pipeline::Serial,
-            Exchange::Direct,
-            &fault,
-            Observe::default(),
-        );
-        assert!(out.completed);
-        out.executed_plan
+        let out = faulted(&plan, &map, &spec, &mem, &fault, false);
+        assert!(out.recovery.completed);
+        out.recovery
+            .executed_plan
             .check(&req)
             .expect("failover + degradation preserve plan invariants");
     }
@@ -998,24 +939,12 @@ mod tests {
             "seed 11\nost_slow(0, 4.0, 0ns..5ms)\nreq_transient_fail(0.3, 99)\nagg_crash(0, 1ms)";
         let run = || {
             let fault = FaultSpec::parse(text).unwrap();
-            simulate_faulted(
-                &plan,
-                &map,
-                &spec,
-                &mem,
-                Pipeline::Serial,
-                Exchange::Direct,
-                &fault,
-                Observe {
-                    trace: true,
-                    ..Observe::default()
-                },
-            )
+            faulted(&plan, &map, &spec, &mem, &fault, true)
         };
         let (a, b) = (run(), run());
         assert_eq!(a.report.elapsed, b.report.elapsed);
         assert_eq!(a.trace, b.trace, "traces must be byte-identical");
-        assert_eq!(a.retries, b.retries);
+        assert_eq!(a.recovery.retries, b.recovery.retries);
     }
 
     #[test]
@@ -1023,17 +952,8 @@ mod tests {
         let (req, map, mem, cfg, spec) = setup(8, 2, 2 * MIB);
         let plan = mcio::plan(&req, &map, &mem, &cfg);
         let fault = FaultSpec::parse("seed 5\nreq_transient_fail(0.9, 1)").unwrap();
-        let out = simulate_faulted(
-            &plan,
-            &map,
-            &spec,
-            &mem,
-            Pipeline::Serial,
-            Exchange::Direct,
-            &fault,
-            Observe::default(),
-        );
-        assert!(out.completed);
-        assert!(out.retries > 0, "p=0.9 must produce retries");
+        let out = faulted(&plan, &map, &spec, &mem, &fault, false);
+        assert!(out.recovery.completed);
+        assert!(out.recovery.retries > 0, "p=0.9 must produce retries");
     }
 }

@@ -57,16 +57,13 @@ pub mod twophase;
 
 pub use adaptive::{AdaptiveOutcome, AdaptivePolicy, OstSignal, SignalSnapshot};
 pub use config::{CollectiveConfig, PlacementPolicy, Strategy};
-pub use exec_faults::{simulate_adaptive, simulate_faulted, FaultOutcome, FAILOVER_LATENCY};
+pub use exec_faults::{FaultOutcome, FAILOVER_LATENCY};
 pub use exec_fn::FunctionalReport;
 pub use exec_sim::{
-    simulate, simulate_observed, simulate_opts, simulate_two_level, trace_plan, Exchange, Observe,
-    Pipeline, RoundPhase, RunMetrics, TimingReport,
+    run, simulate, simulate_observed, Exchange, JobOutcome, Observe, Pipeline, RoundPhase,
+    RunMetrics, RunOutcome, RunSpec, TenantJob, TimingReport,
 };
 pub use memory::ProcMemory;
-pub use multitenant::{
-    run_multitenant, run_multitenant_adaptive, JobOutcome, MultiTenantReport, TenantJob,
-};
 pub use placement::PlacementDiag;
 pub use plan::{
     AggregatorAssignment, CollectivePlan, GroupPlan, IoOp, Message, PlanDiag, Round, SyncMode,

@@ -1,25 +1,29 @@
-//! Multi-tenant execution: N independent collective jobs sharing one
+//! Shared-machine execution: N independent collective jobs on one
 //! machine.
 //!
 //! The paper tunes collective I/O on a dedicated testbed, but a real
 //! extreme-scale machine runs many collective jobs against one shared
-//! parallel file system. This module lowers every job's plan into a
-//! *single* discrete-event simulation over one shared [`Fabric`] and
-//! [`Pfs`], so cross-job contention on OSTs, NICs and memory buses
-//! falls out of the existing resource model instead of being modeled
-//! separately:
+//! parallel file system. A [`run`](crate::run) without
+//! [`RunSpec::memory`](crate::RunSpec::memory) lowers every job's plan
+//! into the *single* discrete-event simulation of the one runner
+//! (`exec_sim`'s `run_machine`) over one shared
+//! [`Fabric`](mcio_cluster::Fabric) and [`Pfs`](mcio_pfs::Pfs), so
+//! cross-job contention on OSTs, NICs and memory buses falls out of the
+//! existing resource model instead of being modeled separately:
 //!
-//! * each job owns a node partition via [`TenantJob::node_offset`]
+//! * each job owns a node partition via
+//!   [`TenantJob::node_offset`](crate::TenantJob::node_offset)
 //!   (partitions may overlap — two jobs can share nodes);
-//! * each job arrives at [`TenantJob::start`] (simulated time, no
-//!   wall-clock): a release-gated activity holds back its first round;
-//! * every activity label is namespaced `j{n}.` so traces, metrics and
-//!   `mcio-analyze` can attribute work to a job.
+//! * each job arrives at [`TenantJob::start`](crate::TenantJob::start)
+//!   (simulated time, no wall-clock): a release-gated activity holds
+//!   back its first round;
+//! * with two or more jobs every activity label is namespaced `j{n}.`
+//!   so traces, metrics and `mcio-analyze` can attribute work to a job.
 //!
-//! A single-job run with offset 0 and start 0 is byte-identical to
-//! [`simulate_observed`](crate::exec_sim::simulate_observed) — the
-//! prefix collapses to `""` and the lowering is the very same code
-//! path (`crates/core/tests/multitenant_props.rs` proves it).
+//! A single job with offset 0 and start 0 is the very simulation
+//! [`simulate_observed`](crate::simulate_observed) runs — the prefix
+//! collapses to `""` and the core is the same function
+//! (`crates/core/tests/multitenant_props.rs` proves the bytes match).
 //!
 //! Interference metrics per job:
 //! * **slowdown** — the job's span on the shared machine divided by
@@ -27,545 +31,184 @@
 //! * **OST busy-overlap** — the fraction of the job's OST service time
 //!   during which at least one *other* job was also being served by
 //!   some OST (how much of its storage work was contended).
+//!
+//! The closed-loop controller's lever on a shared machine is
+//! *deferral*: a probe of the whole shared, degraded run decides which
+//! of each MC job's rounds should wait out a degraded OST window
+//! instead of crawling through it, and those rounds are release-gated
+//! in the shared DES. Structural recovery (crash failover, shock
+//! demotion) re-plans one job on a machine of its own and is refused
+//! here ([`run`](crate::run) enforces it).
 
-use crate::adaptive::{plan_deferrals, AdaptiveOutcome, AdaptivePolicy, SignalSnapshot};
+use crate::adaptive::{contention_stretch, plan_deferrals, AdaptiveOutcome, SignalSnapshot};
 use crate::config::Strategy;
 use crate::exec_sim::{
-    attribute_phases, busy_maxima, emit_round_spans, lower_plan, phase_fractions, record_run,
-    simulate_inner, trace_faults, trace_replan, Attribution, Exchange, FaultInjection, Observe,
-    Pipeline, ReplanMark, RoundWindow, RunMetrics, TimingReport,
+    run_machine, slowdown, solo_run, FaultGate, JobOutcome, MachineJob, ReplanMark, RunOutcome,
+    RunSpec,
 };
-use crate::plan::CollectivePlan;
-use mcio_cluster::spec::ClusterSpec;
-use mcio_cluster::{Fabric, ProcessMap};
-use mcio_des::{Activity, SharePolicy, SimDuration, SimTime, Simulation};
+use mcio_des::SimTime;
 use mcio_faults::FaultSpec;
-use mcio_obs::TraceCollector;
-use mcio_pfs::{OstId, Pfs};
-use std::collections::HashMap;
-use std::sync::Arc;
 
 /// The trace process id of the per-job tenant lanes (pid 1 = resources,
 /// 2 = round phases, 3 = faults). Emitted only when a run has two or
 /// more jobs, so single-job traces stay byte-identical to solo runs.
 pub const PID_TENANTS: u64 = 4;
 
-/// One job of a multi-tenant run: a fully planned collective plus its
-/// placement on the shared machine and its arrival time.
-#[derive(Debug, Clone)]
-pub struct TenantJob {
-    /// Job name (trace lanes, metric labels, reports).
-    pub label: String,
-    /// The planned collective (pure data; any strategy).
-    pub plan: CollectivePlan,
-    /// The job's process placement over its *local* nodes
-    /// `0..map.nnodes()`; shifted onto the shared machine by
-    /// [`node_offset`](Self::node_offset) at lowering time.
-    pub map: ProcessMap,
-    /// First machine node of the job's partition. Partitions are
-    /// exclusive when offsets don't overlap and shared when they do.
-    pub node_offset: usize,
-    /// Arrival time: no round of this job starts earlier.
-    pub start: SimDuration,
-    /// Round pipelining mode.
-    pub pipeline: Pipeline,
-    /// Exchange shape.
-    pub exchange: Exchange,
-}
-
-impl TenantJob {
-    /// A job at node offset 0, arriving at time 0, with serial rounds
-    /// and a direct exchange.
-    pub fn new(label: impl Into<String>, plan: CollectivePlan, map: ProcessMap) -> Self {
-        Self {
-            label: label.into(),
-            plan,
-            map,
-            node_offset: 0,
-            start: SimDuration::ZERO,
-            pipeline: Pipeline::Serial,
-            exchange: Exchange::Direct,
-        }
-    }
-
-    /// Place the job's nodes at `offset..offset + map.nnodes()`.
-    pub fn node_offset(mut self, offset: usize) -> Self {
-        self.node_offset = offset;
-        self
-    }
-
-    /// Delay the job's first round until `start`.
-    pub fn start(mut self, start: SimDuration) -> Self {
-        self.start = start;
-        self
-    }
-
-    /// Set the round pipelining mode.
-    pub fn pipeline(mut self, pipeline: Pipeline) -> Self {
-        self.pipeline = pipeline;
-        self
-    }
-
-    /// Set the exchange shape.
-    pub fn exchange(mut self, exchange: Exchange) -> Self {
-        self.exchange = exchange;
-        self
-    }
-}
-
-/// Outcome of one job of a multi-tenant run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct JobOutcome {
-    /// The job's label, copied from its [`TenantJob`].
-    pub label: String,
-    /// The strategy its plan used.
-    pub strategy: Strategy,
-    /// The job's timing view of the shared run. `elapsed` is the job's
-    /// *span* — arrival to last round completion — and the busy maxima
-    /// are machine-wide (the resources are shared).
-    pub report: TimingReport,
-    /// Arrival time, nanoseconds.
-    pub start_ns: u64,
-    /// Completion of the job's last round slot, nanoseconds.
-    pub end_ns: u64,
-    /// Elapsed time of the same job simulated alone on the same nodes.
-    pub solo_elapsed: SimDuration,
-    /// `span / solo_elapsed` — 1.0 means no interference cost.
-    pub slowdown: f64,
-    /// Fraction of this job's OST service time overlapping some other
-    /// job's OST service time, in `[0, 1]`. Zero for a single job.
-    pub ost_overlap: f64,
-    /// What the closed-loop controller did for this job (all-zero under
-    /// [`AdaptivePolicy::Off`]).
-    pub adaptive: AdaptiveOutcome,
-}
-
-/// Result of [`run_multitenant`]: per-job outcomes in job order plus
-/// the shared-machine makespan.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MultiTenantReport {
-    /// One outcome per job, in the order the jobs were given.
-    pub jobs: Vec<JobOutcome>,
-    /// Completion of the last activity of any job.
-    pub makespan: SimDuration,
-    /// Unified Chrome-trace JSON when requested: resource lanes
-    /// (pid 1), per-job round phases (pid 2, lanes prefixed `j{n}.`),
-    /// fault lanes (pid 3) and per-job window lanes ([`PID_TENANTS`]).
-    pub trace: Option<String>,
-    /// Deterministic engine counters of the one shared DES run (the
-    /// `mcio.prof.v1` cell a multi-tenant run contributes).
-    pub engine: mcio_des::EngineProfile,
-}
-
-/// Per-job bookkeeping of the shared lowering.
-struct JobLowered {
-    meta: Vec<crate::exec_sim::SlotMeta>,
-    groups: Vec<Option<usize>>,
-    /// Activity-id range `[act_lo, act_hi)` this job created (its start
-    /// gate, messages, PFS requests and joins) — the ownership key for
-    /// attributing service records to jobs.
-    act_lo: usize,
-    act_hi: usize,
-}
-
-/// Run `jobs` concurrently on one shared machine.
+/// The shared-machine run behind [`run`](crate::run) when no memory
+/// budgets were given: every job lowered into one DES, each measured
+/// against its fault-free solo baseline on the same nodes.
 ///
-/// All jobs are lowered into a single DES over one `Fabric` and one
-/// `Pfs`; contention on shared OSTs, NICs and memory buses emerges
-/// from the FIFO resource model. `faults` is a machine-level fault
-/// plan (OST slowdowns/stalls, transient request failures) applied to
-/// the shared PFS — every job sees it, exactly like a real storage
-/// degradation. Structural per-job faults (aggregator crash, memory
-/// shock) go through [`simulate_faulted`](crate::simulate_faulted)
-/// instead, which re-plans a single job.
+/// `spec.faults` is a machine-level fault plan (OST slowdowns/stalls,
+/// transient request failures) applied to the shared PFS — every job
+/// sees it, exactly like a real storage degradation. With the
+/// controller on, MC-CIO jobs defer rounds past degraded OST windows:
+/// feeding the deferral planner *shared* probe windows rather than
+/// solo ones is what makes it contention-aware — on a busy machine a
+/// round starts far later than its solo probe predicts, and a gate
+/// computed from solo times would release before the round was ever
+/// going to run. Two-phase jobs and [`AdaptivePolicy::Off`] take the
+/// static path byte-for-byte.
 ///
-/// # Panics
-/// Panics if `jobs` is empty or any job's partition
-/// (`node_offset + map.nnodes()`) exceeds the machine's node count.
-pub fn run_multitenant(
-    jobs: &[TenantJob],
-    spec: &ClusterSpec,
-    faults: Option<&FaultSpec>,
-    obs: Observe<'_>,
-) -> MultiTenantReport {
-    run_multitenant_adaptive(jobs, spec, faults, AdaptivePolicy::Off, obs)
-}
-
-/// Probe pass of the closed-loop multi-tenant controller: lower every
-/// job into a shared DES exactly as the static runner would — faults
-/// armed, no gates, no trace — run it, and return each job's absolute
-/// round windows. Feeding the deferral planner *shared* windows rather
-/// than solo-probe windows is what makes it contention-aware: on a
-/// busy machine a round starts far later than its solo probe predicts,
-/// and a gate computed from solo times would release before the round
-/// was ever going to run.
-fn probe_shared_windows(
-    jobs: &[TenantJob],
-    spec: &ClusterSpec,
-    faults: &FaultSpec,
-    engine: SharePolicy,
-) -> Vec<Vec<RoundWindow>> {
-    let mut sim = Simulation::with_policy(engine);
-    let fabric = Fabric::build(&mut sim, spec);
-    let mut pfs = Pfs::build(&mut sim, spec);
-    pfs.apply_faults(&mut sim, faults);
-    let no_gates: HashMap<(Option<usize>, usize), mcio_des::ActivityId> = HashMap::new();
-    let mut lowered: Vec<(Vec<crate::exec_sim::SlotMeta>, Vec<Option<usize>>)> =
-        Vec::with_capacity(jobs.len());
-    for (ji, job) in jobs.iter().enumerate() {
-        let tmap = job.map.with_node_offset(job.node_offset);
-        let prefix = format!("j{ji}.");
-        let start_gate = if job.start.is_zero() {
-            None
-        } else {
-            Some(sim.add_activity(
-                Activity::new(format!("{prefix}start")).release_at(SimTime::ZERO + job.start),
-            ))
-        };
-        lowered.push(lower_plan(
-            &mut sim,
-            &fabric,
-            &pfs,
-            &job.plan,
-            &tmap,
-            job.pipeline,
-            job.exchange,
-            &no_gates,
-            start_gate,
-            &prefix,
-        ));
-    }
-    let report = sim.run().expect("multi-tenant DAG is acyclic");
-    jobs.iter()
-        .zip(&lowered)
-        .map(|(job, (meta, groups))| attribute_phases(job.plan.rw, &report, meta, groups).windows)
-        .collect()
-}
-
-/// [`run_multitenant`] with the closed-loop controller enabled for the
-/// MC-CIO jobs of the run. On a shared machine the controller's lever
-/// is *deferral*: a probe of the whole shared, degraded run
-/// ([`probe_shared_windows`]) decides which of each MC job's rounds
-/// should wait out a degraded OST window instead of crawling through
-/// it, and those rounds are release-gated in the shared DES. The
-/// job's solo clean run supplies the nominal round durations the
-/// defer-vs-crawl comparison needs. Structural re-planning (crash
-/// failover, shock demotion) stays a per-job concern via
-/// [`simulate_adaptive`](crate::simulate_adaptive) — exactly as
-/// structural faults already do for [`run_multitenant`]. Two-phase
-/// jobs and [`AdaptivePolicy::Off`] take the static path
-/// byte-for-byte.
-pub fn run_multitenant_adaptive(
-    jobs: &[TenantJob],
-    spec: &ClusterSpec,
-    faults: Option<&FaultSpec>,
-    policy: AdaptivePolicy,
-    obs: Observe<'_>,
-) -> MultiTenantReport {
-    assert!(
-        !jobs.is_empty(),
-        "a multi-tenant run needs at least one job"
-    );
+/// [`AdaptivePolicy::Off`]: crate::AdaptivePolicy::Off
+pub(crate) fn run_shared(spec: &RunSpec<'_>) -> RunOutcome {
+    let RunSpec {
+        jobs,
+        machine,
+        faults,
+        policy,
+        observe: obs,
+        ..
+    } = *spec;
     let multi = jobs.len() > 1;
     let controller_ran = |strategy: Strategy| {
         !policy.is_off() && faults.is_some_and(|f| !f.is_empty()) && strategy != Strategy::TwoPhase
     };
+    let mut lowered: Vec<MachineJob<'_>> = jobs.iter().map(MachineJob::of).collect();
 
-    let build_scope = obs.prof.map(|p| p.scope("build-activity-graph"));
-    let mut sim = Simulation::with_policy(obs.engine);
-    // The OST-overlap metric needs service records, so multi-job runs
-    // always trace the DES (the Chrome JSON is still only rendered on
-    // request). Single-job runs keep the solo code path bit-for-bit.
-    if obs.trace || multi {
-        sim.enable_trace();
-    }
-    let fabric = Fabric::build(&mut sim, spec);
-    let mut pfs = Pfs::build(&mut sim, spec);
-    if let Some(reg) = obs.registry {
-        pfs.set_registry(Arc::clone(reg));
-    }
-    if let Some(fspec) = faults {
-        pfs.apply_faults(&mut sim, fspec);
-    }
+    // Solo baselines: each job alone on its nodes, fault-free (the
+    // controller's nominal timeline too). A lone job arriving at time 0
+    // on a fault-free machine *is* its own baseline; that run is not
+    // repeated.
+    let is_own_baseline =
+        !multi && jobs[0].start.is_zero() && faults.is_none_or(FaultSpec::is_empty);
+    let solos: Vec<_> = if is_own_baseline {
+        vec![None]
+    } else {
+        lowered
+            .iter()
+            .map(|job| Some(solo_run(job, machine, obs)))
+            .collect()
+    };
 
-    // Closed-loop probe: when any job's controller will act, run the
+    // Closed-loop deferral: when any job's controller will act, run the
     // whole shared, degraded machine once without gates to learn where
-    // every round actually lands under contention.
-    let shared_probe: Vec<Vec<RoundWindow>> =
-        if jobs.iter().any(|j| controller_ran(j.plan.strategy)) {
-            probe_shared_windows(
-                jobs,
-                spec,
-                faults.expect("controller_ran implies faults"),
-                obs.engine,
-            )
-        } else {
-            Vec::new()
-        };
-
-    // Lower every job behind its arrival gate, remembering which
-    // activity-id range it created.
-    let mut lowered: Vec<JobLowered> = Vec::with_capacity(jobs.len());
-    let mut shifted_maps: Vec<ProcessMap> = Vec::with_capacity(jobs.len());
-    let mut job_adaptive: Vec<AdaptiveOutcome> = Vec::with_capacity(jobs.len());
-    let mut all_replans: Vec<ReplanMark> = Vec::new();
-    for (ji, job) in jobs.iter().enumerate() {
-        let tmap = job.map.with_node_offset(job.node_offset);
-        assert!(
-            tmap.nnodes() <= fabric.nnodes(),
-            "job {} needs nodes {}..{} but the machine has {}",
-            job.label,
-            job.node_offset,
-            tmap.nnodes(),
-            fabric.nnodes()
-        );
-        let prefix = if multi {
-            format!("j{ji}.")
-        } else {
-            String::new()
-        };
-        let act_lo = sim.activity_count();
-        let start_gate = if job.start.is_zero() {
-            None
-        } else {
-            Some(sim.add_activity(
-                Activity::new(format!("{prefix}start")).release_at(SimTime::ZERO + job.start),
-            ))
-        };
-        // Closed-loop deferral: the shared probe says where this job's
-        // rounds land on the live, degraded, contended machine; the
-        // solo clean run says how long each round takes at nominal
-        // rate. Rounds the comparison condemns to crawling through a
-        // degraded OST window are held behind a release gate in the
-        // shared DES. The probe ignores the gates it motivates — a
-        // mistimed gate only costs idle time, never correctness.
-        let mut gate_acts: HashMap<(Option<usize>, usize), mcio_des::ActivityId> = HashMap::new();
-        let mut adapt = AdaptiveOutcome {
+    // every round actually lands under contention; the solo clean run
+    // says how long each round takes at nominal rate. Rounds the
+    // comparison condemns to crawling through a degraded OST window are
+    // held behind a release gate in the shared DES. The probe ignores
+    // the gates it motivates — a mistimed gate only costs idle time,
+    // never correctness.
+    let mut adaptive = vec![
+        AdaptiveOutcome {
             policy,
             ..AdaptiveOutcome::default()
         };
-        if controller_ran(job.plan.strategy) {
-            let fspec = faults.expect("controller_ran implies faults");
-            let clean = simulate_inner(
-                &job.plan,
-                &tmap,
-                spec,
-                job.pipeline,
-                job.exchange,
-                Observe {
-                    engine: obs.engine,
-                    ..Observe::default()
-                },
-                None,
-            );
-            let horizon = clean.report.elapsed.as_nanos();
-            let signals = SignalSnapshot::sample(fspec, spec.io_servers, horizon, 0.0);
-            adapt.severity = signals.severity();
-            if adapt.severity > policy.dead_band() {
-                // The shared-probe windows are already absolute (the
-                // job's arrival gate is inside the probe), so no
-                // offset; tenancy queueing is factored out of the
-                // defer-vs-crawl comparison by the contention scale.
-                let scale = crate::adaptive::contention_stretch(
-                    fspec,
-                    spec.io_servers,
-                    &clean.windows,
-                    &shared_probe[ji],
-                    0,
-                );
-                for d in plan_deferrals(
-                    fspec,
-                    policy,
-                    spec.io_servers,
-                    &clean.windows,
-                    &shared_probe[ji],
-                    0,
-                    scale,
-                ) {
-                    let gname = d.group.map_or_else(|| "all".into(), |g| g.to_string());
-                    let label = format!("{prefix}defer.g{gname}.r{}", d.round);
-                    let act = sim.add_activity(
-                        Activity::new(label.clone()).release_at(SimTime::from_nanos(d.release_ns)),
-                    );
-                    gate_acts.insert((d.group, d.round), act);
-                    adapt.deferrals += 1;
-                    all_replans.push(ReplanMark {
-                        name: label,
-                        cat: "defer",
-                        start_ns: d.from_ns,
-                        dur_ns: d.release_ns.saturating_sub(d.from_ns).max(1),
-                        slot: None,
-                        args: vec![
-                            ("job".into(), job.label.clone()),
-                            ("stretch".into(), format!("{:.6}", d.stretch)),
-                        ],
-                    });
-                }
-            }
-        }
-        let (meta, groups) = lower_plan(
-            &mut sim,
-            &fabric,
-            &pfs,
-            &job.plan,
-            &tmap,
-            job.pipeline,
-            job.exchange,
-            &gate_acts,
-            start_gate,
-            &prefix,
-        );
-        job_adaptive.push(adapt);
-        lowered.push(JobLowered {
-            meta,
-            groups,
-            act_lo,
-            act_hi: sim.activity_count(),
-        });
-        shifted_maps.push(tmap);
-    }
-
-    drop(build_scope);
-    let run_scope = obs.prof.map(|p| p.scope("des-run"));
-    let report = sim.run().expect("multi-tenant DAG is acyclic");
-    drop(run_scope);
-    let retry_marks = pfs.take_retry_marks();
-    let makespan = report.makespan().saturating_since(SimTime::ZERO);
-    let (membus_busy_max, nic_busy_max, ost_busy_max, ost_busy_total) =
-        busy_maxima(&report, &fabric, &pfs);
-
-    // Per-job OST service intervals (for the busy-overlap metric):
-    // every service record on an OST resource belongs to exactly one
-    // job, found by its activity-id range.
-    let mut per_job_ost: Vec<Vec<(u64, u64)>> = vec![Vec::new(); jobs.len()];
-    if multi {
-        let ost_ids: std::collections::HashSet<_> = (0..pfs.ost_count())
-            .map(|o| pfs.ost_resource(OstId(o)))
-            .collect();
-        for rec in report.trace().unwrap_or(&[]) {
-            if !ost_ids.contains(&rec.resource) {
+        jobs.len()
+    ];
+    if jobs.iter().any(|j| controller_ran(j.plan.strategy)) {
+        let fspec = faults.expect("controller_ran implies faults");
+        let probe = run_machine(&lowered, machine, Some(fspec), obs.engine_only());
+        for (ji, job) in jobs.iter().enumerate() {
+            if !controller_ran(job.plan.strategy) {
                 continue;
             }
-            let idx = rec.activity.index();
-            if let Some(ji) = lowered
-                .iter()
-                .position(|l| idx >= l.act_lo && idx < l.act_hi)
-            {
-                let start = rec.start.saturating_since(SimTime::ZERO).as_nanos();
-                let end = rec.end.saturating_since(SimTime::ZERO).as_nanos();
-                if end > start {
-                    per_job_ost[ji].push((start, end));
-                }
+            let clean = solos[ji]
+                .as_ref()
+                .expect("a faulted run computes baselines");
+            let horizon = clean.report.elapsed.as_nanos();
+            let signals = SignalSnapshot::sample(fspec, machine.io_servers, horizon, 0.0);
+            adaptive[ji].severity = signals.severity();
+            if adaptive[ji].severity <= policy.dead_band() {
+                continue;
+            }
+            // The shared-probe windows are already absolute (the job's
+            // arrival gate is inside the probe), so no offset; tenancy
+            // queueing is factored out of the defer-vs-crawl comparison
+            // by the contention scale.
+            let shared = &probe.jobs[ji].windows;
+            let scale = contention_stretch(fspec, machine.io_servers, &clean.windows, shared, 0);
+            for d in plan_deferrals(
+                fspec,
+                policy,
+                machine.io_servers,
+                &clean.windows,
+                shared,
+                0,
+                scale,
+            ) {
+                let gname = d.group.map_or_else(|| "all".into(), |g| g.to_string());
+                let label = format!("defer.g{gname}.r{}", d.round);
+                adaptive[ji].deferrals += 1;
+                lowered[ji].replans.push(ReplanMark {
+                    name: label.clone(),
+                    cat: "defer",
+                    start_ns: d.from_ns,
+                    dur_ns: d.release_ns.saturating_sub(d.from_ns).max(1),
+                    slot: None,
+                    args: vec![
+                        ("job".into(), job.label.clone()),
+                        ("stretch".into(), format!("{:.6}", d.stretch)),
+                    ],
+                });
+                lowered[ji].gates.push(FaultGate {
+                    group: d.group,
+                    round: d.round,
+                    from: SimTime::from_nanos(d.from_ns),
+                    release: SimTime::from_nanos(d.release_ns),
+                    label,
+                    adaptive: true,
+                });
             }
         }
     }
-    let merged_ost: Vec<Vec<(u64, u64)>> = per_job_ost.into_iter().map(merge_intervals).collect();
 
-    // Per-job attribution, solo baseline and outcome.
-    let mut attributions: Vec<Attribution> = Vec::with_capacity(jobs.len());
+    let shared = run_machine(&lowered, machine, faults, obs);
+
     let mut outcomes: Vec<JobOutcome> = Vec::with_capacity(jobs.len());
-    for (ji, (job, l)) in jobs.iter().zip(&lowered).enumerate() {
-        let att = attribute_phases(job.plan.rw, &report, &l.meta, &l.groups);
-        let start_ns = job.start.as_nanos();
-        let end_ns = att
-            .windows
-            .iter()
-            .map(|w| w.end_ns)
-            .max()
-            .unwrap_or(start_ns)
-            .max(start_ns);
-        let span = SimDuration::from_nanos(end_ns - start_ns);
-        let bytes: u64 = job.plan.groups.iter().map(|g| g.io_bytes()).sum();
-        let bandwidth_mibs = if span.is_zero() {
-            0.0
-        } else {
-            bytes as f64 / (1024.0 * 1024.0) / span.as_secs_f64()
-        };
-        let (exchange_fraction, io_fraction) = phase_fractions(att.exchange_time, att.io_time);
-        let metrics = RunMetrics {
-            exchange_fraction,
-            io_fraction,
-            rounds: att.rounds.clone(),
-            agg_io: att.agg_io.clone(),
-        };
-        let timing = TimingReport {
-            elapsed: span,
-            exchange_time: att.exchange_time,
-            io_time: att.io_time,
-            bytes,
-            bandwidth_mibs,
-            membus_busy_max,
-            nic_busy_max,
-            ost_busy_max,
-            ost_busy_total,
-            activities: l.act_hi - l.act_lo,
-            engine: report.engine_profile(),
-            metrics,
-        };
-        // Solo baseline: the same job, alone, on the same nodes of the
-        // same machine (fault-free — the baseline isolates *tenancy*).
-        let solo_elapsed = simulate_inner(
-            &job.plan,
-            &shifted_maps[ji],
-            spec,
-            job.pipeline,
-            job.exchange,
-            Observe {
-                engine: obs.engine,
-                ..Observe::default()
-            },
-            None,
-        )
-        .report
-        .elapsed;
-        let slowdown = if solo_elapsed.is_zero() {
-            1.0
-        } else {
-            span.as_secs_f64() / solo_elapsed.as_secs_f64()
-        };
+    for (ji, job) in jobs.iter().enumerate() {
+        let run = &shared.jobs[ji];
+        let solo_elapsed = solos[ji]
+            .as_ref()
+            .map_or(run.report.elapsed, |s| s.report.elapsed);
         let others: Vec<(u64, u64)> = merge_intervals(
-            merged_ost
+            shared
+                .jobs
                 .iter()
                 .enumerate()
                 .filter(|(oj, _)| *oj != ji)
-                .flat_map(|(_, v)| v.iter().copied())
+                .flat_map(|(_, o)| o.ost.iter().copied())
                 .collect(),
         );
-        let own = total_len(&merged_ost[ji]);
+        let own = total_len(&run.ost);
         let ost_overlap = if own == 0 {
             0.0
         } else {
-            intersect_len(&merged_ost[ji], &others) as f64 / own as f64
+            intersect_len(&run.ost, &others) as f64 / own as f64
         };
-        attributions.push(att);
         outcomes.push(JobOutcome {
             label: job.label.clone(),
             strategy: job.plan.strategy,
-            report: timing,
-            start_ns,
-            end_ns,
+            report: run.report.clone(),
+            start_ns: run.start_ns,
+            end_ns: run.end_ns,
             solo_elapsed,
-            slowdown,
+            slowdown: slowdown(run.report.elapsed, solo_elapsed),
             ost_overlap,
-            adaptive: job_adaptive[ji].clone(),
+            adaptive: adaptive[ji].clone(),
         });
     }
 
     if let Some(reg) = obs.registry {
-        report.record_into(reg);
-        pfs.record_imbalance();
-        for (job, outcome) in jobs.iter().zip(&outcomes) {
-            job.plan.record_into(reg);
-            record_run(
-                reg,
-                job.plan.strategy.label(),
-                if multi { Some(&job.label) } else { None },
-                outcome.report.elapsed,
-                outcome.report.bytes,
-                outcome.report.bandwidth_mibs,
-                &outcome.report.metrics,
-            );
-        }
         reg.describe("tenant.jobs", "count", "Concurrent jobs in the run");
         reg.describe("tenant.makespan_ns", "ns", "Shared-machine makespan");
         reg.describe(
@@ -585,7 +228,11 @@ pub fn run_multitenant_adaptive(
         );
         let none: [(&str, &str); 0] = [];
         reg.set_gauge("tenant.jobs", &none, jobs.len() as f64);
-        reg.set_gauge("tenant.makespan_ns", &none, makespan.as_nanos() as f64);
+        reg.set_gauge(
+            "tenant.makespan_ns",
+            &none,
+            shared.makespan.as_nanos() as f64,
+        );
         for outcome in &outcomes {
             let labels = [
                 ("job", outcome.label.as_str()),
@@ -602,106 +249,51 @@ pub fn run_multitenant_adaptive(
         // adaptive.* appears only for jobs the controller actually
         // handled, so Off (and all-static) runs keep their documents
         // byte-identical.
-        let mut described = false;
         for outcome in outcomes.iter().filter(|o| controller_ran(o.strategy)) {
-            if !described {
-                reg.describe(
-                    "adaptive.severity",
-                    "fraction",
-                    "Sampled degradation severity the controller saw",
-                );
-                reg.describe(
-                    "adaptive.deferrals",
-                    "count",
-                    "Rounds deferred past a degraded OST window",
-                );
-                described = true;
-            }
             let labels = [
                 ("job", outcome.label.as_str()),
                 ("strategy", outcome.strategy.label()),
                 ("policy", policy.label()),
             ];
-            reg.set_gauge("adaptive.severity", &labels, outcome.adaptive.severity);
-            reg.inc(
-                "adaptive.deferrals",
-                &labels,
-                outcome.adaptive.deferrals as u64,
+            outcome.adaptive.record_into(reg, &labels, true);
+        }
+    }
+
+    // Per-job window lanes, once the interference numbers are known.
+    if let Some(tc) = shared.trace.as_ref().filter(|_| multi) {
+        tc.name_process(PID_TENANTS, "tenants");
+        for (ji, outcome) in outcomes.iter().enumerate() {
+            tc.name_thread(PID_TENANTS, ji as u64, &format!("j{ji} {}", outcome.label));
+            let slowdown = format!("{:.6}", outcome.slowdown);
+            let overlap = format!("{:.6}", outcome.ost_overlap);
+            tc.span_with_args(
+                &format!("j{ji}.window"),
+                "tenant",
+                PID_TENANTS,
+                ji as u64,
+                outcome.start_ns,
+                outcome.end_ns - outcome.start_ns,
+                &[
+                    ("job", outcome.label.as_str()),
+                    ("strategy", outcome.strategy.label()),
+                    ("slowdown", slowdown.as_str()),
+                    ("ost_overlap", overlap.as_str()),
+                ],
             );
         }
     }
 
-    let trace = if obs.trace {
-        let _emit_scope = obs.prof.map(|p| p.scope("trace-emit"));
-        let tc = TraceCollector::new();
-        report.trace_into(&tc, 1);
-        tc.name_process(2, "plan.rounds");
-        let mut tid_base = 0u64;
-        for (ji, (job, l)) in jobs.iter().zip(&lowered).enumerate() {
-            let lane_prefix = if multi {
-                format!("j{ji}.")
-            } else {
-                String::new()
-            };
-            emit_round_spans(
-                &tc,
-                &report,
-                job.plan.rw,
-                &l.meta,
-                &l.groups,
-                &attributions[ji].rounds,
-                tid_base,
-                &lane_prefix,
-            );
-            tid_base += l.groups.len() as u64;
-        }
-        if faults.is_some_and(|s| !s.is_empty()) || !retry_marks.is_empty() {
-            let inj = FaultInjection {
-                spec: faults,
-                ..FaultInjection::default()
-            };
-            trace_faults(&tc, &inj, &report, &[], &retry_marks, makespan.as_nanos());
-        }
-        if !all_replans.is_empty() {
-            trace_replan(&tc, &all_replans, &[], makespan.as_nanos());
-        }
-        if multi {
-            tc.name_process(PID_TENANTS, "tenants");
-            for (ji, outcome) in outcomes.iter().enumerate() {
-                tc.name_thread(PID_TENANTS, ji as u64, &format!("j{ji} {}", outcome.label));
-                let slowdown = format!("{:.6}", outcome.slowdown);
-                let overlap = format!("{:.6}", outcome.ost_overlap);
-                tc.span_with_args(
-                    &format!("j{ji}.window"),
-                    "tenant",
-                    PID_TENANTS,
-                    ji as u64,
-                    outcome.start_ns,
-                    outcome.end_ns - outcome.start_ns,
-                    &[
-                        ("job", outcome.label.as_str()),
-                        ("strategy", outcome.strategy.label()),
-                        ("slowdown", slowdown.as_str()),
-                        ("ost_overlap", overlap.as_str()),
-                    ],
-                );
-            }
-        }
-        Some(tc.chrome_trace_json())
-    } else {
-        None
-    };
-
-    MultiTenantReport {
+    RunOutcome {
         jobs: outcomes,
-        makespan,
-        trace,
-        engine: report.engine_profile(),
+        makespan: shared.makespan,
+        engine: shared.engine,
+        trace: shared.trace,
+        recovery: None,
     }
 }
 
 /// Merge possibly-overlapping intervals into a sorted disjoint set.
-fn merge_intervals(mut v: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
+pub(crate) fn merge_intervals(mut v: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
     v.sort_unstable();
     let mut out: Vec<(u64, u64)> = Vec::with_capacity(v.len());
     for (s, e) in v {

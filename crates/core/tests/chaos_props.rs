@@ -3,7 +3,7 @@
 //! A seeded generator assembles arbitrary fault plans — slow and
 //! stalled OSTs, transient request failures, aggregator crashes,
 //! memory shocks, in any mix — and runs them through
-//! [`simulate_adaptive`] under every policy and both strategies. The
+//! the resilient [`run`] under every policy and both strategies. The
 //! contracts:
 //!
 //! * every generated plan *terminates* and the executed plan still
@@ -19,10 +19,10 @@
 
 use mcio_cluster::spec::ClusterSpec;
 use mcio_cluster::ProcessMap;
-use mcio_core::exec_sim::{simulate_observed, Exchange, Observe, Pipeline};
 use mcio_core::{
-    exec_fn, mcio, simulate_adaptive, twophase, AdaptivePolicy, CollectiveConfig, CollectivePlan,
-    CollectiveRequest, Extent, FaultOutcome, ProcMemory, Rw, Strategy,
+    exec_fn, mcio, run, simulate_observed, twophase, AdaptiveOutcome, AdaptivePolicy,
+    CollectiveConfig, CollectivePlan, CollectiveRequest, Exchange, Extent, FaultOutcome, Observe,
+    Pipeline, ProcMemory, RunSpec, Rw, Strategy, TenantJob, TimingReport,
 };
 use mcio_faults::FaultSpec;
 use mcio_pfs::SparseFile;
@@ -108,6 +108,16 @@ fn render_chaos(seed: u64, events: &[RawEvent], nnodes: usize, agg_node: usize) 
     text
 }
 
+/// One resilient run, as the properties read it.
+struct Adapted {
+    report: TimingReport,
+    trace: Option<String>,
+    adaptive: AdaptiveOutcome,
+    recovery: FaultOutcome,
+}
+
+/// `plan` alone under `fspec` and `policy` with serial rounds,
+/// structural recovery armed.
 fn run_adaptive(
     plan: &CollectivePlan,
     map: &ProcessMap,
@@ -116,23 +126,41 @@ fn run_adaptive(
     fspec: &FaultSpec,
     policy: AdaptivePolicy,
     trace: bool,
-) -> FaultOutcome {
-    simulate_adaptive(
-        plan,
-        map,
-        spec,
-        mem,
-        Pipeline::Serial,
-        Exchange::Direct,
-        fspec,
+) -> Adapted {
+    let job = TenantJob::new("solo", plan.clone(), map.clone());
+    run_job(job, spec, mem, fspec, policy, trace)
+}
+
+/// `job` alone under `fspec` and `policy`, structural recovery armed.
+fn run_job(
+    job: TenantJob,
+    spec: &ClusterSpec,
+    mem: &ProcMemory,
+    fspec: &FaultSpec,
+    policy: AdaptivePolicy,
+    trace: bool,
+) -> Adapted {
+    let jobs = [job];
+    let mut out = run(&RunSpec {
+        faults: Some(fspec),
         policy,
-        Observe {
+        observe: Observe {
             registry: None,
             trace,
             prof: None,
             ..Observe::default()
         },
-    )
+        memory: Some(mem),
+        ..RunSpec::new(&jobs, spec)
+    });
+    let trace = out.trace_json();
+    let job = out.jobs.remove(0);
+    Adapted {
+        report: job.report,
+        trace,
+        adaptive: job.adaptive,
+        recovery: out.recovery.expect("a faulted run reports recovery"),
+    }
 }
 
 proptest! {
@@ -170,11 +198,11 @@ proptest! {
         // Terminates by construction of the DES (this call returning IS
         // the termination property); the contract checks come after.
         let out = run_adaptive(&plan, &map, &cluster, &mem, &fspec, policy, false);
-        prop_assert!(out.executed_plan.check(&req).is_ok(),
+        prop_assert!(out.recovery.executed_plan.check(&req).is_ok(),
             "chaos-transformed plan violates the plan contract: {:?}",
-            out.executed_plan.check(&req));
-        if out.completed {
-            prop_assert_eq!(written(&out.executed_plan, ranks as u64 * chunk), golden,
+            out.recovery.executed_plan.check(&req));
+        if out.recovery.completed {
+            prop_assert_eq!(written(&out.recovery.executed_plan, ranks as u64 * chunk), golden,
                 "a completed chaos run must write the fault-free bytes");
         }
     }
@@ -206,7 +234,7 @@ proptest! {
         let a = run_adaptive(&plan, &map, &cluster, &mem, &fspec, policy, true);
         let b = run_adaptive(&plan, &map, &cluster, &mem, &fspec, policy, true);
         prop_assert_eq!(a.report.elapsed, b.report.elapsed);
-        prop_assert_eq!(a.completed, b.completed);
+        prop_assert_eq!(a.recovery.completed, b.recovery.completed);
         prop_assert_eq!(&a.adaptive, &b.adaptive,
             "controller decisions must replay identically");
         prop_assert_eq!(&a.trace, &b.trace, "trace bytes must replay identically");
@@ -238,17 +266,14 @@ proptest! {
             &plan, &map, &cluster, pipeline, Exchange::Direct,
             Observe { registry: None, trace: true, prof: None, ..Observe::default() },
         );
-        let off = simulate_adaptive(
-            &plan, &map, &cluster, &mem, pipeline, Exchange::Direct, &empty,
-            AdaptivePolicy::Off,
-            Observe { registry: None, trace: true, prof: None, ..Observe::default() },
-        );
+        let job = TenantJob::new("solo", plan.clone(), map.clone()).pipeline(pipeline);
+        let off = run_job(job, &cluster, &mem, &empty, AdaptivePolicy::Off, true);
         prop_assert_eq!(off.report.elapsed, obs_report.elapsed,
             "Off + empty plan must not perturb the schedule");
         prop_assert_eq!(off.trace.as_deref(), obs_trace.as_deref(),
             "Off + empty plan must emit byte-identical traces");
-        prop_assert!(off.completed);
-        prop_assert_eq!(off.adaptive, mcio_core::AdaptiveOutcome::default(),
+        prop_assert!(off.recovery.completed);
+        prop_assert_eq!(off.adaptive, AdaptiveOutcome::default(),
             "the controller must not have acted");
     }
 }

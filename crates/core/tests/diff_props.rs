@@ -11,10 +11,10 @@
 
 use mcio_cluster::spec::ClusterSpec;
 use mcio_cluster::ProcessMap;
-use mcio_core::exec_sim::{Exchange, Observe, Pipeline};
 use mcio_core::{
-    exec_fn, mcio, simulate_faulted, simulate_observed, twophase, CollectiveConfig, CollectivePlan,
-    CollectiveRequest, Extent, ProcMemory, Rw, Strategy,
+    exec_fn, mcio, run, simulate_observed, twophase, CollectiveConfig, CollectivePlan,
+    CollectiveRequest, Exchange, Extent, Observe, Pipeline, ProcMemory, RunSpec, Rw, Strategy,
+    TenantJob,
 };
 use mcio_faults::FaultSpec;
 use mcio_pfs::SparseFile;
@@ -137,7 +137,7 @@ proptest! {
         );
     }
 
-    /// `simulate_faulted` with an **empty** fault plan is observationally
+    /// A resilient run with an **empty** fault plan is observationally
     /// identical to `simulate_observed`: same timing report (including
     /// structured metrics), same trace bytes, no recovery activity.
     #[test]
@@ -169,17 +169,23 @@ proptest! {
         // events they must never influence the run.
         let empty = FaultSpec { seed: fault_seed, ..FaultSpec::default() };
         prop_assert!(empty.is_empty());
-        let out = simulate_faulted(
-            &plan, &map, &cluster, &mem, pipeline, exchange, &empty,
-            Observe { registry: None, trace: true, prof: None, ..Observe::default() },
-        );
+        let job = [TenantJob::new("solo", plan.clone(), map.clone())
+            .pipeline(pipeline)
+            .exchange(exchange)];
+        let run = run(&RunSpec {
+            faults: Some(&empty),
+            observe: Observe { registry: None, trace: true, prof: None, ..Observe::default() },
+            memory: Some(&mem),
+            ..RunSpec::new(&job, &cluster)
+        });
+        let out = run.recovery.as_ref().expect("a faulted run reports recovery");
 
         prop_assert!(out.completed);
         prop_assert_eq!(out.failovers, 0);
         prop_assert_eq!(out.degraded_rounds, 0);
         prop_assert_eq!(out.retries, 0);
         prop_assert_eq!(&out.executed_plan, &plan, "plan must pass through untransformed");
-        prop_assert_eq!(&out.report, &report, "timing must match the observed executor");
-        prop_assert_eq!(&out.trace, &trace, "trace bytes must match the observed executor");
+        prop_assert_eq!(&run.jobs[0].report, &report, "timing must match the observed executor");
+        prop_assert_eq!(run.trace_json(), trace, "trace bytes must match the observed executor");
     }
 }

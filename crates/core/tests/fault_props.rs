@@ -4,10 +4,9 @@
 
 use mcio_cluster::spec::ClusterSpec;
 use mcio_cluster::ProcessMap;
-use mcio_core::exec_sim::{Exchange, Observe, Pipeline};
 use mcio_core::{
-    exec_fn, mcio, simulate_faulted, CollectiveConfig, CollectivePlan, CollectiveRequest, Extent,
-    FaultOutcome, ProcMemory, Rw,
+    exec_fn, mcio, run, CollectiveConfig, CollectivePlan, CollectiveRequest, Extent, FaultOutcome,
+    Observe, ProcMemory, RunSpec, Rw, TenantJob, TimingReport,
 };
 use mcio_faults::FaultSpec;
 use mcio_pfs::SparseFile;
@@ -33,6 +32,13 @@ fn written(plan: &CollectivePlan, len: u64) -> Vec<u8> {
     file.read_vec(0, len as usize)
 }
 
+/// One resilient run, as the properties read it.
+struct Faulted {
+    report: TimingReport,
+    trace: Option<String>,
+    recovery: FaultOutcome,
+}
+
 fn run_faulted(
     plan: &CollectivePlan,
     map: &ProcessMap,
@@ -40,22 +46,24 @@ fn run_faulted(
     mem: &ProcMemory,
     fspec: &FaultSpec,
     trace: bool,
-) -> FaultOutcome {
-    simulate_faulted(
-        plan,
-        map,
-        spec,
-        mem,
-        Pipeline::Serial,
-        Exchange::Direct,
-        fspec,
-        Observe {
+) -> Faulted {
+    let jobs = [TenantJob::new("solo", plan.clone(), map.clone())];
+    let mut out = run(&RunSpec {
+        faults: Some(fspec),
+        observe: Observe {
             registry: None,
             trace,
             prof: None,
             ..Observe::default()
         },
-    )
+        memory: Some(mem),
+        ..RunSpec::new(&jobs, spec)
+    });
+    Faulted {
+        trace: out.trace_json(),
+        report: out.jobs.remove(0).report,
+        recovery: out.recovery.expect("a faulted run reports recovery"),
+    }
 }
 
 proptest! {
@@ -90,11 +98,11 @@ proptest! {
         let fspec = FaultSpec::parse(&text).expect("generated spec parses");
 
         let out = run_faulted(&plan, &map, &cluster, &mem, &fspec, false);
-        prop_assert!(out.completed, "memory-conscious must absorb memory shocks");
-        prop_assert!(out.executed_plan.check(&req).is_ok(),
+        prop_assert!(out.recovery.completed, "memory-conscious must absorb memory shocks");
+        prop_assert!(out.recovery.executed_plan.check(&req).is_ok(),
             "degraded plan violates the plan contract: {:?}",
-            out.executed_plan.check(&req));
-        prop_assert_eq!(written(&out.executed_plan, ranks as u64 * chunk), golden);
+            out.recovery.executed_plan.check(&req));
+        prop_assert_eq!(written(&out.recovery.executed_plan, ranks as u64 * chunk), golden);
     }
 
     /// Any seeded fault plan — slow OSTs, transient failures, crashes,
@@ -145,14 +153,14 @@ proptest! {
         let a = run_faulted(&plan, &map, &cluster, &mem, &fspec, true);
         let b = run_faulted(&plan, &map, &cluster, &mem, &fspec, true);
         prop_assert_eq!(a.report.elapsed, b.report.elapsed);
-        prop_assert_eq!(a.completed, b.completed);
+        prop_assert_eq!(a.recovery.completed, b.recovery.completed);
         prop_assert_eq!(&a.trace, &b.trace, "identical seeds must replay the same trace");
         prop_assert!(a.trace.is_some());
-        if a.completed {
+        if a.recovery.completed {
             let total = ranks as u64 * chunk;
             prop_assert_eq!(
-                written(&a.executed_plan, total),
-                written(&b.executed_plan, total));
+                written(&a.recovery.executed_plan, total),
+                written(&b.recovery.executed_plan, total));
         }
     }
 }

@@ -3,7 +3,7 @@
 //! The multi-tenant layer must be a *conservative extension* of the
 //! solo executors:
 //!
-//! * a single job (offset 0, start 0) run through `run_multitenant` is
+//! * a single job (offset 0, start 0) run through `run` is
 //!   byte-identical to `simulate_observed` — same `TimingReport`
 //!   (including structured metrics), same trace JSON, for both
 //!   strategies and every pipeline/exchange combination;
@@ -14,10 +14,10 @@
 
 use mcio_cluster::spec::ClusterSpec;
 use mcio_cluster::ProcessMap;
-use mcio_core::exec_sim::{Exchange, Observe, Pipeline};
 use mcio_core::{
-    exec_fn, mcio, run_multitenant, simulate_observed, twophase, CollectiveConfig, CollectivePlan,
-    CollectiveRequest, Extent, ProcMemory, Rw, Strategy, TenantJob,
+    exec_fn, mcio, run, simulate_observed, twophase, CollectiveConfig, CollectivePlan,
+    CollectiveRequest, Exchange, Extent, Observe, Pipeline, ProcMemory, RunSpec, Rw, Strategy,
+    TenantJob,
 };
 use mcio_des::SimDuration;
 use mcio_pfs::SparseFile;
@@ -121,19 +121,18 @@ proptest! {
             &plan, &map, &cluster, pipeline, exchange,
             Observe { registry: None, trace: true, prof: None, ..Observe::default() },
         );
-        let mt = run_multitenant(
-            &[TenantJob::new("only", plan.clone(), map.clone())
-                .pipeline(pipeline)
-                .exchange(exchange)],
-            &cluster,
-            None,
-            Observe { registry: None, trace: true, prof: None, ..Observe::default() },
-        );
+        let only = [TenantJob::new("only", plan.clone(), map.clone())
+            .pipeline(pipeline)
+            .exchange(exchange)];
+        let mt = run(&RunSpec {
+            observe: Observe { registry: None, trace: true, prof: None, ..Observe::default() },
+            ..RunSpec::new(&only, &cluster)
+        });
 
         prop_assert_eq!(mt.jobs.len(), 1);
         prop_assert_eq!(&mt.jobs[0].report, &solo_report,
             "single-job timing must match the solo executor");
-        prop_assert_eq!(mt.trace.as_deref(), solo_trace.as_deref(),
+        prop_assert_eq!(mt.trace_json(), solo_trace,
             "single-job trace bytes must match the solo executor");
         prop_assert_eq!(mt.makespan, solo_report.elapsed);
         prop_assert!((mt.jobs[0].slowdown - 1.0).abs() < 1e-12,
@@ -183,8 +182,7 @@ proptest! {
             requests.push(req);
         }
 
-        let mt = run_multitenant(&jobs, &cluster, None,
-            Observe { registry: None, trace: false, prof: None, ..Observe::default() });
+        let mt = run(&RunSpec::new(&jobs, &cluster));
 
         prop_assert_eq!(mt.jobs.len(), k);
         for (ji, outcome) in mt.jobs.iter().enumerate() {
@@ -233,12 +231,13 @@ proptest! {
             })
             .collect();
 
-        let a = run_multitenant(&jobs, &cluster, None,
-            Observe { registry: None, trace: true, prof: None, ..Observe::default() });
-        let b = run_multitenant(&jobs, &cluster, None,
-            Observe { registry: None, trace: true, prof: None, ..Observe::default() });
+        let traced = RunSpec {
+            observe: Observe { registry: None, trace: true, prof: None, ..Observe::default() },
+            ..RunSpec::new(&jobs, &cluster)
+        };
+        let (a, b) = (run(&traced), run(&traced));
         prop_assert_eq!(&a.jobs, &b.jobs, "job outcomes must replay identically");
         prop_assert_eq!(a.makespan, b.makespan);
-        prop_assert_eq!(&a.trace, &b.trace, "trace bytes must replay identically");
+        prop_assert_eq!(a.trace_json(), b.trace_json(), "trace bytes must replay identically");
     }
 }

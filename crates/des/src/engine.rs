@@ -151,7 +151,7 @@ impl Simulation {
     }
 
     /// Record every resource service interval; the run report will carry
-    /// the trace (see [`RunReport::chrome_trace_json`]).
+    /// them (see [`RunReport::trace`] and [`RunReport::trace_into`]).
     pub fn enable_trace(&mut self) {
         self.trace = Some(Vec::new());
     }
@@ -733,32 +733,6 @@ impl RunReport {
             );
         }
     }
-
-    /// Render the service trace in Chrome trace-event JSON (open in
-    /// `chrome://tracing` / Perfetto): one lane per resource, one
-    /// complete event per service interval. Empty when tracing was off.
-    pub fn chrome_trace_json(&self) -> String {
-        let mut out = String::from("[");
-        if let Some(trace) = &self.trace {
-            for (i, rec) in trace.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let name = escape_json(&self.labels[rec.activity.index()]);
-                let lane = escape_json(&self.resource_names[rec.resource.index()]);
-                // Times in microseconds, as the format expects.
-                out.push_str(&format!(
-                    "{{\"name\":\"{name}\",\"cat\":\"{lane}\",\"ph\":\"X\",\
-                     \"ts\":{:.3},\"dur\":{:.3},\"pid\":0,\"tid\":{}}}",
-                    rec.start.as_nanos() as f64 / 1000.0,
-                    rec.end.saturating_since(rec.start).as_nanos() as f64 / 1000.0,
-                    rec.resource.index(),
-                ));
-            }
-        }
-        out.push(']');
-        out
-    }
 }
 
 /// Deterministic engine-side profile of one completed run, consumed by
@@ -823,18 +797,6 @@ pub fn resource_class(name: &str) -> String {
             .trim_end_matches(|c: char| c.is_ascii_digit())
             .to_string(),
     }
-}
-
-/// Minimal JSON string escaping for labels.
-fn escape_json(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            c if c.is_control() => vec![' '],
-            c => vec![c],
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -1064,12 +1026,22 @@ mod tests {
         assert_eq!(trace[1].activity, b);
         assert_eq!(trace[1].start.as_secs_f64(), 1.0);
         assert_eq!(trace[1].end.as_secs_f64(), 2.0);
-        // Chrome trace renders both events with their labels.
-        let json = rep.chrome_trace_json();
-        assert!(json.starts_with('[') && json.ends_with(']'));
-        assert!(json.contains("\"first\""));
-        assert!(json.contains("\"second\""));
-        assert!(json.contains("\"ph\":\"X\""));
+        // The unified trace lanes carry both intervals, exact in
+        // nanoseconds, under their labels.
+        let tc = TraceCollector::new();
+        rep.trace_into(&tc, 1);
+        let spans: Vec<(String, u64, u64)> = tc
+            .spans()
+            .into_iter()
+            .map(|s| (s.name, s.start_ns, s.dur_ns))
+            .collect();
+        assert_eq!(
+            spans,
+            [
+                ("first".to_string(), 0, 1_000_000_000),
+                ("second".to_string(), 1_000_000_000, 1_000_000_000)
+            ]
+        );
     }
 
     #[test]
@@ -1079,7 +1051,9 @@ mod tests {
         sim.add_activity(Activity::new("a").stage(r, 100, SimDuration::ZERO));
         let rep = sim.run().unwrap();
         assert!(rep.trace().is_none());
-        assert_eq!(rep.chrome_trace_json(), "[]");
+        let tc = TraceCollector::new();
+        rep.trace_into(&tc, 1);
+        assert!(tc.is_empty());
     }
 
     #[test]

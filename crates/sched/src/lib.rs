@@ -1,5 +1,5 @@
 //! Trace-driven job-stream scheduling: the batch/queue tier above
-//! [`mcio_core::run_multitenant`].
+//! [`mcio_core::run`].
 //!
 //! The paper tunes one collective job; a production machine runs a
 //! *stream* of them. This crate replays job arrivals from a

@@ -5,7 +5,7 @@
 //! Dispatching a job onto a busy machine must answer *how long will it
 //! run next to the current residents?* — the scheduler answers by
 //! **committing**: it re-simulates the resident jobs plus the newcomer
-//! in one shared fabric+PFS DES ([`mcio_core::run_multitenant`]), each
+//! in one shared fabric+PFS DES ([`mcio_core::run`]), each
 //! resident restarted at its real dispatch time, and takes the
 //! newcomer's span from that run. Only the *newcomer's* runtime is
 //! adopted; every resident keeps the end time fixed at its own commit.
@@ -24,8 +24,7 @@
 use crate::policy::{priority_key, Policy};
 use crate::trace::{build_tenant, JobTrace};
 use crate::PID_SCHED;
-use mcio_core::exec_sim::Observe;
-use mcio_core::{run_multitenant, TenantJob};
+use mcio_core::{run, Observe, RunSpec, TenantJob};
 use mcio_des::SimDuration;
 use mcio_obs::{Registry, TraceCollector};
 use std::sync::Arc;
@@ -284,16 +283,14 @@ impl Loop<'_> {
                 .start(SimDuration::from_nanos(now - t0)),
         );
         let reg = self.cfg.admission.then(Registry::shared);
-        let report = run_multitenant(
-            &tenants,
-            &self.trace.machine,
-            None,
-            Observe {
+        let report = run(&RunSpec {
+            observe: Observe {
                 registry: reg.as_ref(),
                 engine: job.engine,
                 ..Observe::default()
             },
-        );
+            ..RunSpec::new(&tenants, &self.trace.machine)
+        });
         let outcome = report.jobs.last().expect("newcomer is last");
         let run_ns = (outcome.end_ns - outcome.start_ns).max(1);
         let (slowdown, ost_overlap) = match &reg {
@@ -528,15 +525,13 @@ pub fn run_schedule(
     let prepared: Vec<(TenantJob, u64)> = mcio_sweep::run_indexed(cfg.jobs, n, |i| {
         let job = &trace.jobs[i];
         let template = build_tenant(job, i);
-        let solo = run_multitenant(
-            std::slice::from_ref(&template),
-            &trace.machine,
-            None,
-            Observe {
+        let solo = run(&RunSpec {
+            observe: Observe {
                 engine: job.engine,
                 ..Observe::default()
             },
-        );
+            ..RunSpec::new(std::slice::from_ref(&template), &trace.machine)
+        });
         let solo_ns = solo.jobs[0].report.elapsed.as_nanos().max(1);
         (template, solo_ns)
     });

@@ -5,13 +5,29 @@
 use mcio::cluster::spec::ClusterSpec;
 use mcio::cluster::ProcessMap;
 use mcio::core::exec_fn::{execute_read, execute_write};
-use mcio::core::exec_sim::{simulate_opts, simulate_two_level, Pipeline};
 use mcio::core::mcio as mc;
-use mcio::core::{twophase, CollectiveConfig, ProcMemory};
+use mcio::core::{
+    run, twophase, CollectiveConfig, CollectivePlan, Exchange, Pipeline, ProcMemory, RunSpec,
+    TenantJob, TimingReport,
+};
 use mcio::pfs::{Rw, SparseFile};
 use mcio::workloads::{science, CollPerf, Ior};
 
 const MIB: u64 = 1 << 20;
+
+/// `plan` alone on `spec` with the given round schedule.
+fn simulate_job(
+    plan: &CollectivePlan,
+    map: &ProcessMap,
+    spec: &ClusterSpec,
+    pipeline: Pipeline,
+    exchange: Exchange,
+) -> TimingReport {
+    let jobs = [TenantJob::new("job", plan.clone(), map.clone())
+        .pipeline(pipeline)
+        .exchange(exchange)];
+    run(&RunSpec::new(&jobs, spec)).jobs.remove(0).report
+}
 
 #[test]
 fn byte_accounting_agrees_everywhere() {
@@ -64,9 +80,15 @@ fn byte_accounting_agrees_everywhere() {
             // The timing executor, in every scheduling mode, moves the
             // same bytes.
             for t in [
-                simulate_opts(&plan, &map, &spec, Pipeline::Serial),
-                simulate_opts(&plan, &map, &spec, Pipeline::DoubleBuffered),
-                simulate_two_level(&plan, &map, &spec),
+                simulate_job(&plan, &map, &spec, Pipeline::Serial, Exchange::Direct),
+                simulate_job(
+                    &plan,
+                    &map,
+                    &spec,
+                    Pipeline::DoubleBuffered,
+                    Exchange::Direct,
+                ),
+                simulate_job(&plan, &map, &spec, Pipeline::Serial, Exchange::TwoLevel),
             ] {
                 assert_eq!(t.bytes, stats.io_bytes, "{name}: sim bytes");
                 assert!(t.bandwidth_mibs > 0.0);
@@ -103,8 +125,14 @@ fn scheduling_modes_preserve_makespan_ordering() {
     let req = Ior::paper(12, 2 * MIB, 4).request(Rw::Write);
     let cfg = CollectiveConfig::with_buffer(128 << 10).mem_min(0);
     let plan = twophase::plan(&req, &map, &mem, &cfg);
-    let serial = simulate_opts(&plan, &map, &spec, Pipeline::Serial);
-    let piped = simulate_opts(&plan, &map, &spec, Pipeline::DoubleBuffered);
+    let serial = simulate_job(&plan, &map, &spec, Pipeline::Serial, Exchange::Direct);
+    let piped = simulate_job(
+        &plan,
+        &map,
+        &spec,
+        Pipeline::DoubleBuffered,
+        Exchange::Direct,
+    );
     assert!(
         piped.elapsed <= serial.elapsed,
         "double buffering must never slow a chain: {} vs {}",
