@@ -14,7 +14,10 @@
 //! Inputs: fault-free, two-level exchange with double buffering,
 //! OST-only faults, structural faults (`agg_crash`, `mem_shock`) under
 //! both strategies, the conservative controller, and two overlapping
-//! tenants under faults and the adaptive policy.
+//! tenants under faults and the adaptive policy. Reads are pinned
+//! fault-free, traced under the two-level exchange with double
+//! buffering, under structural faults, and under the aggressive
+//! controller.
 //!
 //! The fixture was generated when each of these cases had its own
 //! entry point; the case headers keep those names (`simulate_opts`,
@@ -383,6 +386,45 @@ fn render_all() -> String {
             .unwrap();
             pin_mt(&mut out, &mt);
             pin_registry(&mut out, &reg);
+        }
+    }
+
+    // Reads through the paths above: a traced two-level, double-buffered
+    // read (its trace carries the `scatter.` legs), structural faults
+    // (the read branches of failover re-targeting and re-rounding), and
+    // the aggressive controller.
+    for s in strategies {
+        let c = solo(s, Rw::Read);
+        let reg = Registry::shared();
+        let (r, t) = simulate_observed(
+            &c.plan,
+            &c.map,
+            &c.spec,
+            Pipeline::DoubleBuffered,
+            Exchange::TwoLevel,
+            observe(&reg),
+        );
+        writeln!(
+            out,
+            "== simulate_observed two-level double {} read",
+            label(s)
+        )
+        .unwrap();
+        pin_report(&mut out, &r);
+        pin_trace(&mut out, t.as_deref());
+        pin_registry(&mut out, &reg);
+    }
+    for (name, text, policy) in [
+        ("structural", STRUCTURAL, AdaptivePolicy::Off),
+        ("aggressive", ADAPTIVE, AdaptivePolicy::Aggressive),
+    ] {
+        for s in strategies {
+            let c = solo(s, Rw::Read);
+            let reg = Registry::shared();
+            let (pl, ex) = (Pipeline::Serial, Exchange::Direct);
+            let o = resilient(&c, pl, ex, text, policy, &reg);
+            writeln!(out, "== resilient read {name} {}", label(s)).unwrap();
+            pin_resilient(&mut out, &o, &reg);
         }
     }
     out

@@ -7,7 +7,8 @@
 //! `scheduler_suite --trace sched_small.jobtrace` prints for it. Any
 //! change to the scheduler's math or the report layout shows up here
 //! as a readable diff; regenerate the golden with that command when
-//! the change is intentional.
+//! the change is intentional. The same fixture under `--admission`
+//! pins the admission-control path (document plus scheduler trace).
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -85,5 +86,62 @@ fn cli_schedule_backfill_beats_fcfs_on_the_fixture() {
         backfill,
         doc("backfill", "8"),
         "schedule document depends on --jobs"
+    );
+}
+
+/// Admission control over the same fixture: `schedule --admission
+/// --policy backfill` defers dispatches on predicted interference, and
+/// its document and `--chrome` scheduler trace match the committed
+/// goldens (`tests/fixtures/sched_admission{,.trace}.json`) byte for
+/// byte. Regenerate both with that command when a change is
+/// intentional.
+#[test]
+fn cli_schedule_admission_matches_committed_goldens() {
+    let trace = fixture("sched_small.jobtrace");
+    let tmp = |name: &str| {
+        std::env::temp_dir().join(format!("sched_golden_{}_{name}", std::process::id()))
+    };
+    let (doc_path, chrome_path) = (tmp("admission.json"), tmp("admission.trace.json"));
+    let out = Command::new(env!("CARGO_BIN_EXE_mcio_cli"))
+        .args([
+            "schedule",
+            "--trace",
+            trace.to_str().unwrap(),
+            "--policy",
+            "backfill",
+            "--admission",
+            "--out",
+            doc_path.to_str().unwrap(),
+            "--chrome",
+            chrome_path.to_str().unwrap(),
+        ])
+        .output()
+        .expect("spawn mcio_cli schedule");
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let doc = std::fs::read_to_string(&doc_path).expect("document written");
+    let chrome = std::fs::read_to_string(&chrome_path).expect("trace written");
+    let _ = std::fs::remove_file(&doc_path);
+    let _ = std::fs::remove_file(&chrome_path);
+    let deferrals: u64 = doc
+        .lines()
+        .find_map(|l| l.trim().strip_prefix("\"admission_deferrals\": "))
+        .and_then(|v| v.trim_end_matches(',').parse().ok())
+        .expect("document carries admission_deferrals");
+    assert!(deferrals > 0, "admission never deferred a dispatch");
+    let golden = |name: &str| std::fs::read_to_string(fixture(name)).expect("golden exists");
+    assert_eq!(
+        doc,
+        golden("sched_admission.json"),
+        "admission schedule document drifted from the committed golden"
+    );
+    assert_eq!(
+        chrome,
+        golden("sched_admission.trace.json"),
+        "admission scheduler trace drifted from the committed golden"
     );
 }
