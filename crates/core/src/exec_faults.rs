@@ -68,7 +68,9 @@ use crate::exec_sim::{
     ReplanMark, RoundWindow, RunOutcome, RunSpec, TenantJob,
 };
 use crate::memory::ProcMemory;
-use crate::plan::{AggregatorAssignment, CollectivePlan, GroupPlan, IoOp, Round, SyncMode};
+use crate::plan::{
+    AggregatorAssignment, CollectivePlan, GroupPlan, IoOp, Message, Round, SyncMode,
+};
 use crate::tuner::{retune_from_signals, TunedParams};
 use mcio_cluster::{NodeId, ProcessMap, Rank};
 use mcio_des::{SimDuration, SimTime};
@@ -205,16 +207,17 @@ pub(crate) fn run_resilient(spec: &RunSpec<'_>, job: &TenantJob, mem: &ProcMemor
                     adopt_replacement(g, cr, repl, repl_buffer);
                     failovers += 1;
                     let first = *affected.first().expect("non-empty");
-                    if !gates.iter().any(|gt| gt.group == gkey && gt.round == first) {
-                        gates.push(FaultGate {
+                    insert_gate(
+                        &mut gates,
+                        FaultGate {
                             group: gkey,
                             round: first,
                             from: at,
                             release: at + FAILOVER_LATENCY,
                             label: format!("failover.g{gi}.r{first}"),
                             adaptive: false,
-                        });
-                    }
+                        },
+                    );
                     for r in affected {
                         retarget_round(&mut g.rounds[r], plan.rw, cr, repl);
                         for appended in split_oversized(g, r, repl, repl_buffer, plan.rw) {
@@ -303,16 +306,17 @@ pub(crate) fn run_resilient(spec: &RunSpec<'_>, job: &TenantJob, mem: &ProcMemor
                         adopt_replacement(g, agg, repl, repl_buffer);
                         adaptive_out.demotions += 1;
                         let first = *affected.first().expect("non-empty");
-                        if !gates.iter().any(|gt| gt.group == gkey && gt.round == first) {
-                            gates.push(FaultGate {
+                        insert_gate(
+                            &mut gates,
+                            FaultGate {
                                 group: gkey,
                                 round: first,
                                 from: at,
                                 release: at + FAILOVER_LATENCY,
                                 label: format!("replan.g{gi}.r{first}"),
                                 adaptive: true,
-                            });
-                        }
+                            },
+                        );
                         replans.push(ReplanMark {
                             name: format!("demote.g{gi}.r{first}"),
                             cat: "demote",
@@ -357,21 +361,18 @@ pub(crate) fn run_resilient(spec: &RunSpec<'_>, job: &TenantJob, mem: &ProcMemor
                 0,
                 1.0,
             ) {
-                if gates
-                    .iter()
-                    .any(|gt| gt.group == d.group && gt.round == d.round)
-                {
-                    continue;
-                }
                 let gname = d.group.map_or_else(|| "all".into(), |g| g.to_string());
-                gates.push(FaultGate {
+                let gate = FaultGate {
                     group: d.group,
                     round: d.round,
                     from: SimTime::from_nanos(d.from_ns),
                     release: SimTime::from_nanos(d.release_ns),
                     label: format!("defer.g{gname}.r{}", d.round),
                     adaptive: true,
-                });
+                };
+                if !insert_gate(&mut gates, gate) {
+                    continue;
+                }
                 adaptive_out.deferrals += 1;
                 replans.push(ReplanMark {
                     name: format!("defer.g{gname}.r{}", d.round),
@@ -548,6 +549,18 @@ fn group_key(sync: SyncMode, gi: usize) -> Option<usize> {
     }
 }
 
+/// Push `gate` unless a gate already holds its (group, round) slot;
+/// returns whether it was pushed. The first gate on a slot wins.
+fn insert_gate(gates: &mut Vec<FaultGate>, gate: FaultGate) -> bool {
+    let held = gates
+        .iter()
+        .any(|g| g.group == gate.group && g.round == gate.round);
+    if !held {
+        gates.push(gate);
+    }
+    !held
+}
+
 /// Rounds of `g` that involve aggregator `agg` and, per the pass-1
 /// windows of chain `gkey`, were still in flight at `at_ns`
 /// (`in_flight`: the window ends after it) or had not *started* yet
@@ -568,10 +581,7 @@ fn rounds_after(
         .filter(|&r| {
             let round = &g.rounds[r];
             let involves = round.ios.iter().any(|io| io.agg == agg)
-                || round.messages.iter().any(|m| match rw {
-                    Rw::Write => m.dst == agg,
-                    Rw::Read => m.src == agg,
-                });
+                || round.messages.iter().any(|m| m.agg_end(rw) == agg);
             if !involves {
                 return false;
             }
@@ -649,8 +659,7 @@ fn select_replacement(
 }
 
 /// Re-point every aggregator-side endpoint of `round` from `from` to
-/// `to`: I/O ops, and the aggregator end of each message (dst on writes,
-/// src on reads).
+/// `to`: I/O ops, and the aggregator end of each message.
 fn retarget_round(round: &mut Round, rw: Rw, from: Rank, to: Rank) {
     for io in &mut round.ios {
         if io.agg == from {
@@ -658,10 +667,8 @@ fn retarget_round(round: &mut Round, rw: Rw, from: Rank, to: Rank) {
         }
     }
     for m in &mut round.messages {
-        match rw {
-            Rw::Write if m.dst == from => m.dst = to,
-            Rw::Read if m.src == from => m.src = to,
-            _ => {}
+        if m.agg_end(rw) == from {
+            *m = Message::new(rw, to, m.peer_end(rw), std::mem::take(&mut m.extents));
         }
     }
 }
@@ -698,37 +705,28 @@ fn split_oversized(g: &mut GroupPlan, r: usize, agg: Rank, limit: u64, rw: Rw) -
         for chunk in &chunks[1..] {
             let mut moved = Vec::new();
             for m in &mut g.rounds[r].messages {
-                let agg_end = match rw {
-                    Rw::Write => m.dst,
-                    Rw::Read => m.src,
-                };
-                if agg_end != agg {
+                if m.agg_end(rw) != agg {
                     continue;
                 }
-                let (stay, go): (Vec<Extent>, Vec<Extent>) = {
-                    let mut stay = Vec::new();
-                    let mut go = Vec::new();
-                    for e in &m.extents {
-                        match e.intersect(chunk) {
-                            Some(inside) => {
-                                go.push(inside);
-                                if e.offset < inside.offset {
-                                    stay.push(Extent::from_bounds(e.offset, inside.offset));
-                                }
-                                if e.end() > inside.end() {
-                                    stay.push(Extent::from_bounds(inside.end(), e.end()));
-                                }
+                let mut stay = Vec::new();
+                let mut go = Vec::new();
+                for e in &m.extents {
+                    match e.intersect(chunk) {
+                        Some(inside) => {
+                            go.push(inside);
+                            if e.offset < inside.offset {
+                                stay.push(Extent::from_bounds(e.offset, inside.offset));
                             }
-                            None => stay.push(*e),
+                            if e.end() > inside.end() {
+                                stay.push(Extent::from_bounds(inside.end(), e.end()));
+                            }
                         }
+                        None => stay.push(*e),
                     }
-                    (stay, go)
-                };
+                }
                 if !go.is_empty() {
                     m.extents = stay;
-                    let mut piece = m.clone();
-                    piece.extents = go;
-                    moved.push(piece);
+                    moved.push(Message::new(rw, agg, m.peer_end(rw), go));
                 }
             }
             g.rounds[r].messages.retain(|m| !m.extents.is_empty());

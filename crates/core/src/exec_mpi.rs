@@ -2,17 +2,21 @@
 //! OS thread per rank and real tagged sends/receives.
 //!
 //! The closest thing in this reproduction to "running the collective on
-//! MPI": every rank walks the plan, sends the messages it is the source
-//! of (payloads cut from the oracle for writes, from the shared file for
-//! reads), receives the ones addressed to it in plan order, and
-//! aggregators access a shared [`SparseFile`] behind a lock. Results must
-//! agree byte-for-byte with the single-threaded reference executor — a
+//! MPI": every rank plays its part of the plan through the same role
+//! protocol the MPI-IO layer runs ([`crate::mpiio`]'s write and read
+//! roles, shared with [`crate::mpiio::CollFile`]). It sends the messages
+//! it is the source of, receives the ones addressed to it in plan
+//! order, and aggregators access a shared [`SparseFile`] behind a lock.
+//! This executor only supplies the data: write payloads are cut from the
+//! oracle, and read pieces are collected per rank. Results must agree
+//! byte-for-byte with the single-threaded reference executor
+//! ([`crate::exec_fn`], written independently of the role protocol) — a
 //! strong check that the plan is a faithful distributed protocol (no rank
 //! needs information it would not have).
 
 use crate::exec_fn::oracle_data;
-use crate::plan::{CollectivePlan, SyncMode};
-use mcio_cluster::Rank;
+use crate::mpiio::{read_role, write_role};
+use crate::plan::CollectivePlan;
 use mcio_pfs::{Extent, Rw, SparseFile};
 use mcio_simpi::runtime::run;
 use parking_lot::Mutex;
@@ -25,7 +29,7 @@ fn tag(group: usize, round: usize) -> u64 {
 }
 
 /// Execute a **write** plan over simpi threads; the file is written in
-/// place.
+/// place. Every rank's payloads are cut from [`oracle_data`].
 ///
 /// # Panics
 /// Panics if the plan is not a write plan or a rank misbehaves (the
@@ -41,44 +45,9 @@ pub fn execute_write_mpi(plan: &CollectivePlan, file: &mut SparseFile) {
     {
         let shared = Arc::clone(&shared);
         run(nranks, move |comm| {
-            let me = Rank(comm.rank());
-            for (gi, g) in plan.groups.iter().enumerate() {
-                for (ri, round) in g.rounds.iter().enumerate() {
-                    let t = tag(gi, ri);
-                    // Send my contributions (in plan order).
-                    for m in round.messages.iter().filter(|m| m.src == me) {
-                        let mut payload = Vec::with_capacity(m.bytes() as usize);
-                        for e in &m.extents {
-                            payload.extend_from_slice(&oracle_data(e));
-                        }
-                        comm.send(m.dst.0, t, payload);
-                    }
-                    // Serve my aggregator windows.
-                    for io in round.ios.iter().filter(|io| io.agg == me) {
-                        let w = io.window;
-                        let mut buf = vec![0u8; w.len as usize];
-                        for m in round.messages.iter().filter(|m| m.dst == me) {
-                            let payload = comm.recv(m.src.0, t);
-                            let mut at = 0usize;
-                            for e in &m.extents {
-                                let dst = (e.offset - w.offset) as usize;
-                                buf[dst..dst + e.len as usize]
-                                    .copy_from_slice(&payload[at..at + e.len as usize]);
-                                at += e.len as usize;
-                            }
-                        }
-                        let mut file = shared.lock();
-                        for e in &io.extents {
-                            let at = (e.offset - w.offset) as usize;
-                            file.write_at(e.offset, &buf[at..at + e.len as usize]);
-                        }
-                    }
-                    // Global sync mirrors ROMIO's per-round alltoallv.
-                    if plan.sync == SyncMode::Global {
-                        comm.barrier();
-                    }
-                }
-            }
+            write_role(&comm, &plan, &shared, tag, |e, out| {
+                out.extend_from_slice(&oracle_data(e))
+            });
         });
     }
     *file = Arc::try_unwrap(shared)
@@ -95,44 +64,12 @@ pub fn execute_read_mpi(plan: &CollectivePlan, file: &SparseFile) -> Vec<Vec<(Ex
         return Vec::new();
     }
     let plan = Arc::new(plan.clone());
-    let file = Arc::new(file.clone());
+    let file = Arc::new(Mutex::new(file.clone()));
     run(nranks, move |comm| {
-        let me = Rank(comm.rank());
         let mut mine: Vec<(Extent, Vec<u8>)> = Vec::new();
-        for (gi, g) in plan.groups.iter().enumerate() {
-            for (ri, round) in g.rounds.iter().enumerate() {
-                let t = tag(gi, ri);
-                // Serve my aggregator windows: read, then distribute.
-                for io in round.ios.iter().filter(|io| io.agg == me) {
-                    let w = io.window;
-                    let mut buf = vec![0u8; w.len as usize];
-                    for e in &io.extents {
-                        let at = (e.offset - w.offset) as usize;
-                        file.read_at(e.offset, &mut buf[at..at + e.len as usize]);
-                    }
-                    for m in round.messages.iter().filter(|m| m.src == me) {
-                        let mut payload = Vec::with_capacity(m.bytes() as usize);
-                        for e in &m.extents {
-                            let at = (e.offset - w.offset) as usize;
-                            payload.extend_from_slice(&buf[at..at + e.len as usize]);
-                        }
-                        comm.send(m.dst.0, t, payload);
-                    }
-                }
-                // Collect the pieces addressed to me (in plan order).
-                for m in round.messages.iter().filter(|m| m.dst == me) {
-                    let payload = comm.recv(m.src.0, t);
-                    let mut at = 0usize;
-                    for e in &m.extents {
-                        mine.push((*e, payload[at..at + e.len as usize].to_vec()));
-                        at += e.len as usize;
-                    }
-                }
-                if plan.sync == SyncMode::Global {
-                    comm.barrier();
-                }
-            }
-        }
+        read_role(&comm, &plan, &file, tag, |e, data| {
+            mine.push((*e, data.to_vec()))
+        });
         mine
     })
 }

@@ -37,15 +37,15 @@ use crate::config::Strategy;
 use crate::exec_faults::FaultOutcome;
 use crate::memory::ProcMemory;
 use crate::multitenant::merge_intervals;
-use crate::plan::{CollectivePlan, Round, SyncMode};
+use crate::plan::{orient, CollectivePlan, Round, SyncMode};
 use mcio_cluster::spec::ClusterSpec;
-use mcio_cluster::{Fabric, ProcessMap, Rank};
+use mcio_cluster::{Fabric, NodeId, ProcessMap, Rank};
 use mcio_des::{Activity, ActivityId, SharePolicy, SimDuration, SimTime, Simulation};
 use mcio_faults::{FaultEvent, FaultSpec};
 use mcio_obs::{Registry, TraceCollector};
 use mcio_pfs::{Pfs, RetryMark, Rw};
 use std::borrow::Cow;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// Phase durations of one round slot (one synchronized step of one
@@ -971,8 +971,8 @@ impl Lowering<'_, '_> {
             let mut ex_joins: Vec<ActivityId> = Vec::new();
             let mut io_joins: Vec<ActivityId> = Vec::new();
             for (r, slot) in chain.iter().enumerate() {
-                // Dependencies per pipelining mode. The "first" phase is the
-                // exchange for writes and the I/O for reads.
+                // Dependencies per pipelining mode, with the round's phases
+                // in `Phase::order`.
                 let (mut first_deps, second_extra): (Vec<ActivityId>, Vec<ActivityId>) = if r == 0 {
                     (start_gate.into_iter().collect(), Vec::new())
                 } else {
@@ -982,10 +982,9 @@ impl Lowering<'_, '_> {
                             // The first phase of round r reuses the buffer the
                             // second phase of round r-2 released; the second
                             // phase serializes per buffer stream.
-                            let (prev_first, prev_second) = match plan.rw {
-                                Rw::Write => (&ex_joins, &io_joins),
-                                Rw::Read => (&io_joins, &ex_joins),
-                            };
+                            let [first, second] = Phase::order(plan.rw);
+                            let prev_first = first.pick(&ex_joins, &io_joins);
+                            let prev_second = second.pick(&ex_joins, &io_joins);
                             let mut first = vec![prev_first[r - 1]];
                             if r >= 2 {
                                 first.push(prev_second[r - 2]);
@@ -1090,9 +1089,8 @@ struct Attribution {
 }
 
 /// Attribute each round slot's executed window to its exchange and I/O
-/// phases: messages span [start, last message done]; I/O spans the rest
-/// of the round. Reads do I/O first, so the roles of the two interval
-/// ends swap.
+/// phases, in [`Phase::order`]: the first phase spans [start, its last
+/// activity done]; the second spans the rest of the round.
 fn attribute_phases(
     rw: Rw,
     report: &mcio_des::RunReport,
@@ -1103,8 +1101,8 @@ fn attribute_phases(
     let mut io_time = SimDuration::ZERO;
     let mut round_phases: Vec<RoundPhase> = Vec::with_capacity(round_meta.len());
     let mut windows: Vec<RoundWindow> = Vec::with_capacity(round_meta.len());
-    let mut agg_io_acc: std::collections::BTreeMap<usize, SimDuration> =
-        std::collections::BTreeMap::new();
+    let mut agg_io_acc: BTreeMap<usize, SimDuration> = BTreeMap::new();
+    let [first, _] = Phase::order(rw);
     for meta in round_meta {
         let t0 = meta
             .first_deps
@@ -1133,16 +1131,17 @@ fn attribute_phases(
                 .saturating_since(SimTime::ZERO)
                 .as_nanos(),
         });
-        let (exchange, io) = match rw {
-            Rw::Write => (
-                msgs_end.saturating_since(t0),
-                ios_end.saturating_since(msgs_end),
-            ),
-            Rw::Read => (
-                msgs_end.saturating_since(ios_end),
-                ios_end.saturating_since(t0),
-            ),
+        // The first phase runs from t0 to its last completion, the
+        // second from there to its own.
+        let first_end = first.pick(msgs_end, ios_end);
+        let duration = |p: Phase| {
+            if p == first {
+                first_end.saturating_since(t0)
+            } else {
+                p.pick(msgs_end, ios_end).saturating_since(first_end)
+            }
         };
+        let (exchange, io) = (duration(Phase::Exchange), duration(Phase::Io));
         exchange_time += exchange;
         io_time += io;
         round_phases.push(RoundPhase {
@@ -1259,6 +1258,7 @@ fn emit_round_spans(
 ) {
     let (round_meta, chain_groups, lane_prefix) = (&lowered.meta, &lowered.groups, &lowered.prefix);
     let mut named_chains = std::collections::BTreeSet::new();
+    let [first, _] = Phase::order(rw);
     for (meta, phase) in round_meta.iter().zip(rounds) {
         // Per-group span metadata: which plan group this chain
         // serves ("all" when global sync zips every group into one
@@ -1291,10 +1291,15 @@ fn emit_round_spans(
             .unwrap_or(SimTime::ZERO)
             .saturating_since(SimTime::ZERO)
             .as_nanos();
-        let (ex_start, io_start) = match rw {
-            Rw::Write => (t0, t0 + phase.exchange.as_nanos()),
-            Rw::Read => (t0 + phase.io.as_nanos(), t0),
+        // The second phase starts where the first ends.
+        let start = |p: Phase| {
+            if p == first {
+                t0
+            } else {
+                t0 + first.pick(phase.exchange, phase.io).as_nanos()
+            }
         };
+        let (ex_start, io_start) = (start(Phase::Exchange), start(Phase::Io));
         if !phase.exchange.is_zero() {
             tc.span_with_args(
                 &format!("r{}.exchange", meta.round),
@@ -1508,71 +1513,110 @@ fn trace_replan(tc: &TraceCollector, parts: &[Part<'_, '_>], elapsed_ns: u64) {
     }
 }
 
-/// One step of an exchange chain.
-enum Leg {
-    /// An on-node copy of `bytes` (leader-side combine or scatter).
-    Combine {
-        /// The node performing the local copy.
-        node: mcio_cluster::NodeId,
-        /// Combined payload size.
-        bytes: u64,
-    },
-    /// A message to/from the aggregator (`src` is the non-aggregator
-    /// endpoint's node).
-    Wire {
-        /// The non-aggregator endpoint's node.
-        src: mcio_cluster::NodeId,
-        /// Payload size.
-        bytes: u64,
-    },
+/// The two phases of a collective round.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Phase {
+    /// The data shuffle between requesting ranks and aggregators.
+    Exchange,
+    /// The aggregators' file access.
+    Io,
 }
 
-/// Expand a round's transfers into per-aggregator leg chains. `Wire.src`
-/// names the non-aggregator endpoint's node (the source on writes, the
-/// destination on reads). Under the two-level exchange the pieces are
-/// merged per (aggregator, node) and an off-node chain gains its
-/// on-node `Combine` leg: before the wire on writes (the leader
-/// combines), after it on reads (the leader scatters).
+impl Phase {
+    /// The round's phases in execution order. Data flows from the source
+    /// end to the destination end of [`orient`], and the aggregator's end
+    /// of a round is its file access: a write shuffles and then writes,
+    /// a read reads and then redistributes.
+    fn order(rw: Rw) -> [Phase; 2] {
+        let (first, second) = orient(rw, Phase::Io, Phase::Exchange);
+        [first, second]
+    }
+
+    /// `exchange` or `io`, whichever belongs to this phase.
+    fn pick<T>(self, exchange: T, io: T) -> T {
+        match self {
+            Phase::Exchange => exchange,
+            Phase::Io => io,
+        }
+    }
+}
+
+/// One step of an exchange chain, oriented in data-flow order.
+struct Leg {
+    /// Activity label.
+    label: String,
+    /// Sending node.
+    from: NodeId,
+    /// Receiving node.
+    to: NodeId,
+    /// Payload size.
+    bytes: u64,
+}
+
+/// Expand a round's transfers into per-aggregator leg chains, each in
+/// data-flow order. A wire leg is labeled `msg.{src}->{dst}`, where the
+/// aggregator end names the rank and the other end its node. Under the
+/// two-level exchange the pieces are merged per (aggregator, node), and
+/// an off-node chain gains the node leader's on-node copy on the peer
+/// side of the wire: it combines the pieces before the wire on writes
+/// and scatters them after it on reads.
 fn exchange_legs(
     round: &Round,
     map: &ProcessMap,
     rw: Rw,
     exchange: Exchange,
-) -> std::collections::BTreeMap<Rank, Vec<Vec<Leg>>> {
-    let pieces = round
-        .transfers()
-        .into_iter()
-        .map(|((src, dst), bytes)| match rw {
-            Rw::Write => (dst, map.node_of(src), bytes),
-            Rw::Read => (src, map.node_of(dst), bytes),
-        });
-    let mut out: std::collections::BTreeMap<Rank, Vec<Vec<Leg>>> =
-        std::collections::BTreeMap::new();
+    prefix: &str,
+) -> BTreeMap<Rank, Vec<Vec<Leg>>> {
+    let copy = match rw {
+        Rw::Write => "combine",
+        Rw::Read => "scatter",
+    };
+    let label = |kind: &str, agg: Rank, node: NodeId| {
+        let (a, b): (&dyn std::fmt::Display, &dyn std::fmt::Display) = orient(rw, &agg, &node);
+        format!("{prefix}{kind}.{a}->{b}")
+    };
+    let wire = |agg: Rank, node: NodeId, bytes: u64| {
+        let (from, to) = orient(rw, map.node_of(agg), node);
+        Leg {
+            label: label("msg", agg, node),
+            from,
+            to,
+            bytes,
+        }
+    };
+    let pieces = round.transfers().into_iter().map(|((src, dst), bytes)| {
+        let (agg, peer) = orient(rw, src, dst);
+        (agg, map.node_of(peer), bytes)
+    });
+    let mut out: BTreeMap<Rank, Vec<Vec<Leg>>> = BTreeMap::new();
     match exchange {
         Exchange::Direct => {
             for (agg, node, bytes) in pieces {
                 out.entry(agg)
                     .or_default()
-                    .push(vec![Leg::Wire { src: node, bytes }]);
+                    .push(vec![wire(agg, node, bytes)]);
             }
         }
         Exchange::TwoLevel => {
-            let mut per_node: std::collections::BTreeMap<(Rank, mcio_cluster::NodeId), u64> =
-                std::collections::BTreeMap::new();
+            let mut per_node: BTreeMap<(Rank, NodeId), u64> = BTreeMap::new();
             for (agg, node, bytes) in pieces {
                 *per_node.entry((agg, node)).or_insert(0) += bytes;
             }
             for ((agg, node), bytes) in per_node {
-                let wire = Leg::Wire { src: node, bytes };
                 let chain = if node == map.node_of(agg) {
                     // Already on the aggregator's node: plain local copy.
-                    vec![wire]
+                    vec![wire(agg, node, bytes)]
                 } else {
-                    let combine = Leg::Combine { node, bytes };
-                    match rw {
-                        Rw::Write => vec![combine, wire],
-                        Rw::Read => vec![wire, combine],
-                    }
+                    // One extra memory-bus copy of the merged payload at
+                    // the node leader.
+                    let leader = Leg {
+                        label: label(copy, agg, node),
+                        from: node,
+                        to: node,
+                        bytes,
+                    };
+                    let (first, second) = orient(rw, wire(agg, node, bytes), leader);
+                    vec![first, second]
                 };
                 out.entry(agg).or_default().push(chain);
             }
@@ -1594,163 +1638,82 @@ struct RoundHandles {
 }
 
 impl Lowering<'_, '_> {
-    /// Lower one round. `first_deps` gate the round's first phase (exchange
-    /// for writes, I/O for reads); `second_extra` are additional gates on
-    /// the second phase (used by pipelined scheduling).
+    /// Lower one round: its two phases in [`Phase::order`]. The first
+    /// phase waits on `first_deps`. Each aggregator's second-phase work
+    /// waits on that aggregator's first-phase activities (on
+    /// `first_deps` when it had none) plus `second_extra`, the extra
+    /// gates of pipelined scheduling.
     fn lower_round(
         &mut self,
         round: &Round,
         first_deps: &[ActivityId],
         second_extra: &[ActivityId],
     ) -> RoundHandles {
-        let (fabric, pfs, map, rw, exchange, prefix) = (
-            self.fabric,
-            self.pfs,
-            self.map,
-            self.rw,
-            self.exchange,
-            self.prefix,
-        );
+        let (fabric, pfs, map, rw, prefix) =
+            (self.fabric, self.pfs, self.map, self.rw, self.prefix);
         let sim = &mut *self.sim;
         let mut msg_acts: Vec<ActivityId> = Vec::new();
         let mut io_acts: Vec<ActivityId> = Vec::new();
-        let mut agg_io_map: std::collections::BTreeMap<Rank, Vec<ActivityId>> =
-            std::collections::BTreeMap::new();
-        match rw {
-            Rw::Write => {
-                // Exchange, then I/O.
-                let mut msgs_to_agg: std::collections::BTreeMap<
-                    mcio_cluster::Rank,
-                    Vec<ActivityId>,
-                > = std::collections::BTreeMap::new();
-                for (dst, chains) in exchange_legs(round, map, rw, exchange) {
-                    for chain in chains {
-                        let mut prev: Option<ActivityId> = None;
-                        for leg in chain {
-                            let a = match leg {
-                                Leg::Combine { node, bytes } => {
-                                    // On-node combine at the leader: one extra
-                                    // memory-bus copy of the combined payload.
-                                    sim.add_activity(fabric.message(
-                                        format!("{prefix}combine.{node}->{dst}"),
-                                        node,
-                                        node,
-                                        bytes,
-                                    ))
-                                }
-                                Leg::Wire { src, bytes } => sim.add_activity(fabric.message(
-                                    format!("{prefix}msg.{src}->{dst}"),
-                                    src,
-                                    map.node_of(dst),
-                                    bytes,
-                                )),
-                            };
-                            match prev {
-                                None => {
-                                    for &d in first_deps {
-                                        sim.add_dep(d, a);
+        let mut agg_io_map: BTreeMap<Rank, Vec<ActivityId>> = BTreeMap::new();
+        let mut first_acts: BTreeMap<Rank, Vec<ActivityId>> = BTreeMap::new();
+        for (i, phase) in Phase::order(rw).into_iter().enumerate() {
+            let first = i == 0;
+            let gate = |first_acts: &BTreeMap<Rank, Vec<ActivityId>>, agg: Rank| {
+                if first {
+                    return Cow::Borrowed(first_deps);
+                }
+                let mut deps = first_acts
+                    .get(&agg)
+                    .map_or_else(|| first_deps.to_vec(), Vec::clone);
+                deps.extend_from_slice(second_extra);
+                Cow::Owned(deps)
+            };
+            match phase {
+                Phase::Exchange => {
+                    for (agg, chains) in exchange_legs(round, map, rw, self.exchange, prefix) {
+                        let deps = gate(&first_acts, agg);
+                        for chain in chains {
+                            let mut prev: Option<ActivityId> = None;
+                            for leg in chain {
+                                let a = sim.add_activity(
+                                    fabric.message(leg.label, leg.from, leg.to, leg.bytes),
+                                );
+                                match prev {
+                                    None => {
+                                        for &d in deps.iter() {
+                                            sim.add_dep(d, a);
+                                        }
                                     }
+                                    Some(p) => sim.add_dep(p, a),
                                 }
-                                Some(p) => sim.add_dep(p, a),
+                                prev = Some(a);
+                                if first {
+                                    first_acts.entry(agg).or_default().push(a);
+                                }
+                                msg_acts.push(a);
                             }
-                            prev = Some(a);
-                            msgs_to_agg.entry(dst).or_default().push(a);
-                            msg_acts.push(a);
                         }
                     }
                 }
-                for io in &round.ios {
-                    let mut deps = msgs_to_agg
-                        .get(&io.agg)
-                        .cloned()
-                        .unwrap_or_else(|| first_deps.to_vec());
-                    deps.extend_from_slice(second_extra);
-                    let node = map.node_of(io.agg);
-                    for e in &io.extents {
-                        let done = pfs.submit(
-                            sim,
-                            fabric,
-                            &format!("{prefix}io.{}", io.agg),
-                            node,
-                            Rw::Write,
-                            *e,
-                            &deps,
-                        );
-                        agg_io_map.entry(io.agg).or_default().push(done);
-                        io_acts.push(done);
-                    }
-                }
-            }
-            Rw::Read => {
-                // I/O first, then distribution.
-                let mut io_of_agg: std::collections::BTreeMap<mcio_cluster::Rank, Vec<ActivityId>> =
-                    std::collections::BTreeMap::new();
-                for io in &round.ios {
-                    let deps: Vec<ActivityId> = first_deps.to_vec();
-                    let node = map.node_of(io.agg);
-                    for e in &io.extents {
-                        let done = pfs.submit(
-                            sim,
-                            fabric,
-                            &format!("{prefix}io.{}", io.agg),
-                            node,
-                            Rw::Read,
-                            *e,
-                            &deps,
-                        );
-                        io_of_agg.entry(io.agg).or_default().push(done);
-                        agg_io_map.entry(io.agg).or_default().push(done);
-                        io_acts.push(done);
-                    }
-                }
-                for (agg, chains) in exchange_legs(round, map, rw, exchange) {
-                    for chain in chains {
-                        let mut prev: Option<ActivityId> = None;
-                        for leg in chain {
-                            let a = match leg {
-                                Leg::Combine { node, bytes } => {
-                                    // On-node scatter from the leader's buffer.
-                                    sim.add_activity(fabric.message(
-                                        format!("{prefix}scatter.{agg}->{node}"),
-                                        node,
-                                        node,
-                                        bytes,
-                                    ))
-                                }
-                                Leg::Wire {
-                                    src: dst_node,
-                                    bytes,
-                                } => sim.add_activity(fabric.message(
-                                    format!("{prefix}msg.{agg}->{dst_node}"),
-                                    map.node_of(agg),
-                                    dst_node,
-                                    bytes,
-                                )),
-                            };
-                            match prev {
-                                None => {
-                                    // The aggregator must have read its window
-                                    // first.
-                                    match io_of_agg.get(&agg) {
-                                        Some(ios) => {
-                                            for &io in ios {
-                                                sim.add_dep(io, a);
-                                            }
-                                        }
-                                        None => {
-                                            for &d in first_deps {
-                                                sim.add_dep(d, a);
-                                            }
-                                        }
-                                    }
-                                    for &d in second_extra {
-                                        sim.add_dep(d, a);
-                                    }
-                                }
-                                Some(p) => sim.add_dep(p, a),
+                Phase::Io => {
+                    for io in &round.ios {
+                        let deps = gate(&first_acts, io.agg);
+                        let node = map.node_of(io.agg);
+                        for e in &io.extents {
+                            let done = pfs.submit(
+                                sim,
+                                fabric,
+                                &format!("{prefix}io.{}", io.agg),
+                                node,
+                                rw,
+                                *e,
+                                &deps,
+                            );
+                            if first {
+                                first_acts.entry(io.agg).or_default().push(done);
                             }
-                            prev = Some(a);
-                            msg_acts.push(a);
+                            agg_io_map.entry(io.agg).or_default().push(done);
+                            io_acts.push(done);
                         }
                     }
                 }

@@ -22,14 +22,21 @@
 //!        ┌─────────────┼──────────────────┐
 //!        ▼             ▼                  ▼
 //!   exec_fn        exec_mpi           exec_sim
-//!   (byte-correct  (thread-per-rank   (DES timing on the
-//!    reference)     over mcio-simpi)   cluster + PFS models)
+//!   (independent   (thread-per-rank   (DES timing on the
+//!    byte-correct   over mcio-simpi;   cluster + PFS models)
+//!    reference)     the write/read
+//!                   roles it shares
+//!                   with mpiio::
+//!                   CollFile)
 //! ```
 //!
 //! Every module carries its paper section in its doc comment. The plan is
 //! pure data, so the three executors can cross-check each other: the two
 //! functional executors must produce byte-identical files/buffers, and the
 //! timing executor replays the same plan against the machine model.
+//! `exec_mpi` and the MPI-IO layer ([`mpiio::CollFile`]) run one shared
+//! per-rank role protocol; `exec_fn` is written independently of it, so
+//! it is the reference both are tested against.
 
 #![warn(missing_docs)]
 

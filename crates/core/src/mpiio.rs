@@ -11,6 +11,14 @@
 //! touching the shared file. No rank ever sees another rank's buffer
 //! except through messages.
 //!
+//! The per-rank role protocol is written once, as a write role and a
+//! read role. [`CollFile`] runs them over slices of the user buffer;
+//! the message-passing executor ([`crate::exec_mpi`]) runs the same two
+//! roles over oracle payloads. The single-threaded reference executor
+//! ([`crate::exec_fn`]) stays independent of them, so the cross-checks
+//! between it and `exec_mpi` test the roles against a separate
+//! implementation.
+//!
 //! Views must be monotone (file offsets nondecreasing in data order), as
 //! MPI requires of file views.
 
@@ -24,6 +32,7 @@ use mcio_pfs::{Extent, Rw, SparseFile};
 use mcio_simpi::collectives::{decode_u64s, encode_u64s};
 use mcio_simpi::{Comm, FileView};
 use parking_lot::Mutex;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Errors of the collective file layer.
@@ -130,7 +139,17 @@ impl CollFile {
     pub fn write_at_all(&mut self, data_offset: u64, buf: &[u8]) -> Result<(), IoError> {
         let (req, mine) = self.exchange_requests(Rw::Write, data_offset, buf.len() as u64);
         let plan = self.plan(&req)?;
-        self.execute_write(&plan, &mine, buf);
+        let prefix = prefix_sums(&mine);
+        write_role(
+            &self.comm,
+            &plan,
+            &self.file,
+            |g, r| self.tag(g, r),
+            |e, out| out.extend_from_slice(&buf[Self::data_range(&mine, &prefix, e)]),
+        );
+        // A closing barrier keeps the collective call collective: no
+        // rank returns before the data of slower groups is in the file.
+        self.comm.barrier();
         self.epoch += 1;
         Ok(())
     }
@@ -140,7 +159,15 @@ impl CollFile {
     pub fn read_at_all(&mut self, data_offset: u64, buf: &mut [u8]) -> Result<(), IoError> {
         let (req, mine) = self.exchange_requests(Rw::Read, data_offset, buf.len() as u64);
         let plan = self.plan(&req)?;
-        self.execute_read(&plan, &mine, buf);
+        let prefix = prefix_sums(&mine);
+        read_role(
+            &self.comm,
+            &plan,
+            &self.file,
+            |g, r| self.tag(g, r),
+            |e, data| buf[Self::data_range(&mine, &prefix, e)].copy_from_slice(data),
+        );
+        self.comm.barrier();
         self.epoch += 1;
         Ok(())
     }
@@ -197,12 +224,12 @@ impl CollFile {
         (self.epoch << 40) | ((group as u64) << 20) | round as u64
     }
 
-    /// Copy the user-buffer slice backing file extent `e` out of `buf`.
+    /// The range of the user buffer backing file extent `e`.
     ///
     /// `mine` is this rank's extent list in data order with `prefix[i]`
     /// = data bytes before extent `i`; monotone views make data order
     /// equal offset order, so a binary search locates the extent.
-    fn slice_of<'a>(mine: &[Extent], prefix: &[u64], e: &Extent, buf: &'a [u8]) -> &'a [u8] {
+    fn data_range(mine: &[Extent], prefix: &[u64], e: &Extent) -> Range<usize> {
         let i = mine.partition_point(|x| x.end() <= e.offset);
         let host = &mine[i];
         debug_assert!(
@@ -210,94 +237,109 @@ impl CollFile {
             "message extent {e} not within this rank's request"
         );
         let start = (prefix[i] + (e.offset - host.offset)) as usize;
-        &buf[start..start + e.len as usize]
+        start..start + e.len as usize
     }
+}
 
-    fn execute_write(&self, plan: &CollectivePlan, mine: &[Extent], buf: &[u8]) {
-        let me = Rank(self.comm.rank());
-        let prefix = prefix_sums(mine);
-        for (gi, g) in plan.groups.iter().enumerate() {
-            for (ri, round) in g.rounds.iter().enumerate() {
-                let t = self.tag(gi, ri);
-                for m in round.messages.iter().filter(|m| m.src == me) {
-                    let mut payload = Vec::with_capacity(m.bytes() as usize);
-                    for e in &m.extents {
-                        payload.extend_from_slice(Self::slice_of(mine, &prefix, e, buf));
-                    }
-                    self.comm.send(m.dst.0, t, payload);
+/// The range of extent `e` inside the buffer of window `w`.
+fn window_range(w: &Extent, e: &Extent) -> Range<usize> {
+    let at = (e.offset - w.offset) as usize;
+    at..at + e.len as usize
+}
+
+/// This rank's role in a write plan, round by round: send the messages
+/// it is the source of, each payload assembled extent by extent by
+/// `payload`; then, for every window it aggregates, receive the
+/// messages addressed to it in plan order and write the window's
+/// extents into `file`. `tag(group, round)` names each round's
+/// messages. Under global sync every round ends in a barrier, mirroring
+/// ROMIO's per-round `alltoallv`.
+pub(crate) fn write_role(
+    comm: &Comm,
+    plan: &CollectivePlan,
+    file: &Mutex<SparseFile>,
+    tag: impl Fn(usize, usize) -> u64,
+    mut payload: impl FnMut(&Extent, &mut Vec<u8>),
+) {
+    let me = Rank(comm.rank());
+    for (gi, g) in plan.groups.iter().enumerate() {
+        for (ri, round) in g.rounds.iter().enumerate() {
+            let t = tag(gi, ri);
+            for m in round.messages.iter().filter(|m| m.src == me) {
+                let mut out = Vec::with_capacity(m.bytes() as usize);
+                for e in &m.extents {
+                    payload(e, &mut out);
                 }
-                for io in round.ios.iter().filter(|io| io.agg == me) {
-                    let w = io.window;
-                    let mut wbuf = vec![0u8; w.len as usize];
-                    for m in round.messages.iter().filter(|m| m.dst == me) {
-                        let payload = self.comm.recv(m.src.0, t);
-                        let mut at = 0usize;
-                        for e in &m.extents {
-                            let dst = (e.offset - w.offset) as usize;
-                            wbuf[dst..dst + e.len as usize]
-                                .copy_from_slice(&payload[at..at + e.len as usize]);
-                            at += e.len as usize;
-                        }
-                    }
-                    let mut file = self.file.lock();
-                    for e in &io.extents {
-                        let at = (e.offset - w.offset) as usize;
-                        file.write_at(e.offset, &wbuf[at..at + e.len as usize]);
-                    }
-                }
-                if plan.sync == SyncMode::Global {
-                    self.comm.barrier();
-                }
+                comm.send(m.dst.0, t, out);
             }
-        }
-        // A closing barrier keeps the collective call collective: no
-        // rank returns before the data of slower groups is in the file.
-        self.comm.barrier();
-    }
-
-    fn execute_read(&self, plan: &CollectivePlan, mine: &[Extent], buf: &mut [u8]) {
-        let me = Rank(self.comm.rank());
-        let prefix = prefix_sums(mine);
-        for (gi, g) in plan.groups.iter().enumerate() {
-            for (ri, round) in g.rounds.iter().enumerate() {
-                let t = self.tag(gi, ri);
-                for io in round.ios.iter().filter(|io| io.agg == me) {
-                    let w = io.window;
-                    let mut wbuf = vec![0u8; w.len as usize];
-                    {
-                        let file = self.file.lock();
-                        for e in &io.extents {
-                            let at = (e.offset - w.offset) as usize;
-                            file.read_at(e.offset, &mut wbuf[at..at + e.len as usize]);
-                        }
-                    }
-                    for m in round.messages.iter().filter(|m| m.src == me) {
-                        let mut payload = Vec::with_capacity(m.bytes() as usize);
-                        for e in &m.extents {
-                            let at = (e.offset - w.offset) as usize;
-                            payload.extend_from_slice(&wbuf[at..at + e.len as usize]);
-                        }
-                        self.comm.send(m.dst.0, t, payload);
-                    }
-                }
+            for io in round.ios.iter().filter(|io| io.agg == me) {
+                let w = io.window;
+                let mut wbuf = vec![0u8; w.len as usize];
                 for m in round.messages.iter().filter(|m| m.dst == me) {
-                    let payload = self.comm.recv(m.src.0, t);
+                    let data = comm.recv(m.src.0, t);
                     let mut at = 0usize;
                     for e in &m.extents {
-                        let i = mine.partition_point(|x| x.end() <= e.offset);
-                        let host = &mine[i];
-                        let start = (prefix[i] + (e.offset - host.offset)) as usize;
-                        buf[start..start + e.len as usize]
-                            .copy_from_slice(&payload[at..at + e.len as usize]);
+                        wbuf[window_range(&w, e)].copy_from_slice(&data[at..at + e.len as usize]);
                         at += e.len as usize;
                     }
                 }
-                if plan.sync == SyncMode::Global {
-                    self.comm.barrier();
+                let mut file = file.lock();
+                for e in &io.extents {
+                    file.write_at(e.offset, &wbuf[window_range(&w, e)]);
                 }
             }
+            if plan.sync == SyncMode::Global {
+                comm.barrier();
+            }
         }
-        self.comm.barrier();
+    }
+}
+
+/// This rank's role in a read plan, round by round: for every window it
+/// aggregates, read the window's extents from `file` and send each
+/// message it is the source of; then receive the messages addressed to
+/// it in plan order and hand every piece to `deliver`. Tags and
+/// barriers as in [`write_role`].
+pub(crate) fn read_role(
+    comm: &Comm,
+    plan: &CollectivePlan,
+    file: &Mutex<SparseFile>,
+    tag: impl Fn(usize, usize) -> u64,
+    mut deliver: impl FnMut(&Extent, &[u8]),
+) {
+    let me = Rank(comm.rank());
+    for (gi, g) in plan.groups.iter().enumerate() {
+        for (ri, round) in g.rounds.iter().enumerate() {
+            let t = tag(gi, ri);
+            for io in round.ios.iter().filter(|io| io.agg == me) {
+                let w = io.window;
+                let mut wbuf = vec![0u8; w.len as usize];
+                {
+                    let file = file.lock();
+                    for e in &io.extents {
+                        file.read_at(e.offset, &mut wbuf[window_range(&w, e)]);
+                    }
+                }
+                for m in round.messages.iter().filter(|m| m.src == me) {
+                    let mut out = Vec::with_capacity(m.bytes() as usize);
+                    for e in &m.extents {
+                        out.extend_from_slice(&wbuf[window_range(&w, e)]);
+                    }
+                    comm.send(m.dst.0, t, out);
+                }
+            }
+            for m in round.messages.iter().filter(|m| m.dst == me) {
+                let data = comm.recv(m.src.0, t);
+                let mut at = 0usize;
+                for e in &m.extents {
+                    deliver(e, &data[at..at + e.len as usize]);
+                    at += e.len as usize;
+                }
+            }
+            if plan.sync == SyncMode::Global {
+                comm.barrier();
+            }
+        }
     }
 }
 

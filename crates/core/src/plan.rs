@@ -32,7 +32,37 @@ pub struct Message {
     pub extents: Vec<Extent>,
 }
 
+/// The direction rule of a collective: a write flows from the requesting
+/// rank to the aggregator, a read from the aggregator to the requesting
+/// rank. Maps an `(aggregator, peer)` pair to `(source, destination)`;
+/// the rule is its own inverse, so it also maps `(source, destination)`
+/// back to `(aggregator, peer)`.
+pub(crate) fn orient<T>(rw: Rw, agg: T, peer: T) -> (T, T) {
+    match rw {
+        Rw::Write => (peer, agg),
+        Rw::Read => (agg, peer),
+    }
+}
+
 impl Message {
+    /// The message between aggregator `agg` and requesting rank `peer`
+    /// carrying `extents`, oriented by the plan direction `rw`.
+    pub(crate) fn new(rw: Rw, agg: Rank, peer: Rank, extents: Vec<Extent>) -> Self {
+        let (src, dst) = orient(rw, agg, peer);
+        Message { src, dst, extents }
+    }
+
+    /// The aggregator end of the message under direction `rw` (`dst` on
+    /// writes, `src` on reads).
+    pub(crate) fn agg_end(&self, rw: Rw) -> Rank {
+        orient(rw, self.src, self.dst).0
+    }
+
+    /// The requesting-rank end of the message under direction `rw`.
+    pub(crate) fn peer_end(&self, rw: Rw) -> Rank {
+        orient(rw, self.src, self.dst).1
+    }
+
     /// Payload size of the message.
     pub fn bytes(&self) -> u64 {
         total_bytes(&self.extents)
@@ -354,10 +384,7 @@ impl CollectivePlan {
                     let got: u64 = r
                         .messages
                         .iter()
-                        .filter(|m| match self.rw {
-                            Rw::Write => m.dst == agg,
-                            Rw::Read => m.src == agg,
-                        })
+                        .filter(|m| m.agg_end(self.rw) == agg)
                         .flat_map(|m| m.extents.iter())
                         .filter(|e| io.window.contains_extent(e))
                         .map(|e| e.len)
@@ -385,10 +412,7 @@ impl CollectivePlan {
                 // (4) Direction sanity: aggregator end of each message is
                 // an assigned aggregator of this group.
                 for m in &r.messages {
-                    let agg_end = match self.rw {
-                        Rw::Write => m.dst,
-                        Rw::Read => m.src,
-                    };
+                    let agg_end = m.agg_end(self.rw);
                     if !g.aggregators.iter().any(|a| a.rank == agg_end) {
                         return Err(format!(
                             "group {gi} round {ri}: message endpoint {agg_end} is not an aggregator"

@@ -197,11 +197,7 @@ pub(crate) fn build_window<'a>(
             continue;
         }
         all_extents.extend(extents.iter().copied());
-        let (src, dst) = match rw {
-            Rw::Write => (rr.rank, agg),
-            Rw::Read => (agg, rr.rank),
-        };
-        round.messages.push(Message { src, dst, extents });
+        round.messages.push(Message::new(rw, agg, rr.rank, extents));
     }
     let extents = coalesce(all_extents);
     if !extents.is_empty() {

@@ -18,9 +18,9 @@
 //! Each dispatch *commits* the job by re-simulating the resident jobs
 //! plus the newcomer in one shared DES ([`scheduler`]), so the
 //! newcomer's runtime reflects live OST/NIC contention. Optional
-//! admission control reads the `tenant.slowdown` /
-//! `tenant.ost_overlap_frac` gauges of that very simulation and defers
-//! dispatch while predicted interference exceeds a budget.
+//! admission control reads the newcomer's slowdown and OST overlap off
+//! that very simulation's outcome and defers dispatch while predicted
+//! interference exceeds a budget.
 //!
 //! Everything is deterministic: the event loop is sequential virtual
 //! time, the only parallelism is the index-ordered solo-baseline
