@@ -13,6 +13,13 @@
 //! passes (read + write) on the same node — the reason node-aligned
 //! aggregation groups conserve interconnect and NIC capacity but still pay
 //! the memory bus.
+//!
+//! The whole node block is one DES resource range: node `n`'s servers
+//! are ids `3n`, `3n+1`, `3n+2` past the range start, so the handles are
+//! arithmetic and registering a 10^6-node machine allocates nothing per
+//! node. Bandwidths and names (`node{n}.membus`, …) are computed only for
+//! the servers a job touches; the DES builds service state for those
+//! alone.
 
 use crate::spec::ClusterSpec;
 use crate::NodeId;
@@ -27,35 +34,64 @@ pub enum TransferPath {
     InterNode,
 }
 
+/// One of a node's three fabric servers, in id order within the node.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Port {
+    /// The off-chip memory bus.
+    MemBus,
+    /// The NIC's transmit side.
+    NicTx,
+    /// The NIC's receive side.
+    NicRx,
+}
+
+impl Port {
+    const ALL: [Port; 3] = [Port::MemBus, Port::NicTx, Port::NicRx];
+
+    /// The resource-name suffix (`node{n}.{suffix}`).
+    fn suffix(self) -> &'static str {
+        match self {
+            Port::MemBus => "membus",
+            Port::NicTx => "nic_tx",
+            Port::NicRx => "nic_rx",
+        }
+    }
+}
+
 /// DES handles for a built cluster fabric.
 #[derive(Debug, Clone)]
 pub struct Fabric {
-    membus: Vec<ResourceId>,
-    nic_tx: Vec<ResourceId>,
-    nic_rx: Vec<ResourceId>,
+    /// Id of node 0's memory bus, the start of the node block.
+    first: ResourceId,
+    nnodes: usize,
     nic_latency: SimDuration,
     message_overhead: SimDuration,
 }
 
 impl Fabric {
     /// Register one memory bus and one NIC pair per node of `spec` in
-    /// `sim`.
+    /// `sim`, as one resource range.
     pub fn build(sim: &mut Simulation, spec: &ClusterSpec) -> Self {
-        let mut membus = Vec::with_capacity(spec.nodes);
-        let mut nic_tx = Vec::with_capacity(spec.nodes);
-        let mut nic_rx = Vec::with_capacity(spec.nodes);
-        for n in 0..spec.nodes {
-            let scale = spec.scale_of(n);
-            let membus_bw = Bandwidth::bytes_per_sec(spec.node.mem_bandwidth * scale);
-            let nic_bw = Bandwidth::bytes_per_sec(spec.node.nic_bandwidth * scale);
-            membus.push(sim.add_resource(format!("node{n}.membus"), membus_bw));
-            nic_tx.push(sim.add_resource(format!("node{n}.nic_tx"), nic_bw));
-            nic_rx.push(sim.add_resource(format!("node{n}.nic_rx"), nic_bw));
-        }
+        let node_spec = spec.clone();
+        let first = sim.add_resource_range(
+            Port::ALL.len() * spec.nodes,
+            1,
+            move |i| {
+                let (n, port) = (i / Port::ALL.len(), Port::ALL[i % Port::ALL.len()]);
+                let nominal = match port {
+                    Port::MemBus => node_spec.node.mem_bandwidth,
+                    Port::NicTx | Port::NicRx => node_spec.node.nic_bandwidth,
+                };
+                Bandwidth::bytes_per_sec(nominal * node_spec.scale_of(n))
+            },
+            |i| {
+                let port = Port::ALL[i % Port::ALL.len()];
+                format!("node{}.{}", i / Port::ALL.len(), port.suffix())
+            },
+        );
         Fabric {
-            membus,
-            nic_tx,
-            nic_rx,
+            first,
+            nnodes: spec.nodes,
             nic_latency: spec.node.nic_latency,
             message_overhead: spec.message_overhead,
         }
@@ -63,22 +99,36 @@ impl Fabric {
 
     /// Number of nodes in the fabric.
     pub fn nnodes(&self) -> usize {
-        self.membus.len()
+        self.nnodes
+    }
+
+    /// The `port` server of `node`.
+    pub fn resource(&self, node: NodeId, port: Port) -> ResourceId {
+        assert!(node.0 < self.nnodes, "{node:?} is not in the fabric");
+        self.first.offset(Port::ALL.len() * node.0 + port as usize)
+    }
+
+    /// The node and port of a fabric resource, or `None` for a resource
+    /// outside the node block (an OST, say).
+    pub fn port_of(&self, r: ResourceId) -> Option<(NodeId, Port)> {
+        let i = r.index().checked_sub(self.first.index())?;
+        (i < Port::ALL.len() * self.nnodes)
+            .then(|| (NodeId(i / Port::ALL.len()), Port::ALL[i % Port::ALL.len()]))
     }
 
     /// The memory-bus resource of `node`.
     pub fn membus(&self, node: NodeId) -> ResourceId {
-        self.membus[node.0]
+        self.resource(node, Port::MemBus)
     }
 
     /// The NIC transmit resource of `node`.
     pub fn nic_tx(&self, node: NodeId) -> ResourceId {
-        self.nic_tx[node.0]
+        self.resource(node, Port::NicTx)
     }
 
     /// The NIC receive resource of `node`.
     pub fn nic_rx(&self, node: NodeId) -> ResourceId {
-        self.nic_rx[node.0]
+        self.resource(node, Port::NicRx)
     }
 
     /// How a transfer between the two nodes is routed.
@@ -97,13 +147,13 @@ impl Fabric {
                 // Shared-memory copy: the payload crosses the node's DRAM
                 // interface twice (read source buffer, write destination).
                 Stage {
-                    resource: self.membus[src.0],
+                    resource: self.membus(src),
                     bytes,
                     overhead: self.message_overhead,
                     latency_after: SimDuration::ZERO,
                 },
                 Stage {
-                    resource: self.membus[src.0],
+                    resource: self.membus(src),
                     bytes,
                     overhead: SimDuration::ZERO,
                     latency_after: SimDuration::ZERO,
@@ -111,25 +161,25 @@ impl Fabric {
             ],
             TransferPath::InterNode => vec![
                 Stage {
-                    resource: self.membus[src.0],
+                    resource: self.membus(src),
                     bytes,
                     overhead: self.message_overhead,
                     latency_after: SimDuration::ZERO,
                 },
                 Stage {
-                    resource: self.nic_tx[src.0],
+                    resource: self.nic_tx(src),
                     bytes,
                     overhead: SimDuration::ZERO,
                     latency_after: self.nic_latency,
                 },
                 Stage {
-                    resource: self.nic_rx[dst.0],
+                    resource: self.nic_rx(dst),
                     bytes,
                     overhead: SimDuration::ZERO,
                     latency_after: SimDuration::ZERO,
                 },
                 Stage {
-                    resource: self.membus[dst.0],
+                    resource: self.membus(dst),
                     bytes,
                     overhead: SimDuration::ZERO,
                     latency_after: SimDuration::ZERO,
@@ -159,13 +209,13 @@ impl Fabric {
     pub fn egress_stages(&self, node: NodeId, bytes: u64) -> Vec<Stage> {
         vec![
             Stage {
-                resource: self.membus[node.0],
+                resource: self.membus(node),
                 bytes,
                 overhead: self.message_overhead,
                 latency_after: SimDuration::ZERO,
             },
             Stage {
-                resource: self.nic_tx[node.0],
+                resource: self.nic_tx(node),
                 bytes,
                 overhead: SimDuration::ZERO,
                 latency_after: self.nic_latency,
@@ -178,13 +228,13 @@ impl Fabric {
     pub fn ingress_stages(&self, node: NodeId, bytes: u64) -> Vec<Stage> {
         vec![
             Stage {
-                resource: self.nic_rx[node.0],
+                resource: self.nic_rx(node),
                 bytes,
                 overhead: SimDuration::ZERO,
                 latency_after: SimDuration::ZERO,
             },
             Stage {
-                resource: self.membus[node.0],
+                resource: self.membus(node),
                 bytes,
                 overhead: SimDuration::ZERO,
                 latency_after: SimDuration::ZERO,
@@ -224,6 +274,31 @@ mod tests {
         let fabric = Fabric::build(&mut sim, &tiny_spec());
         assert_eq!(fabric.nnodes(), 3);
         assert_eq!(sim.resource_count(), 9);
+    }
+
+    #[test]
+    fn node_servers_are_arithmetic_on_one_range() {
+        let mut sim = Simulation::new();
+        let before = sim.add_resource("before", Bandwidth::infinite());
+        let fabric = Fabric::build(&mut sim, &tiny_spec());
+        for n in 0..3 {
+            let node = NodeId(n);
+            for (k, port) in [Port::MemBus, Port::NicTx, Port::NicRx]
+                .into_iter()
+                .enumerate()
+            {
+                let r = fabric.resource(node, port);
+                assert_eq!(r.index(), 1 + 3 * n + k);
+                assert_eq!(fabric.port_of(r), Some((node, port)));
+            }
+        }
+        assert_eq!(fabric.port_of(before), None);
+        assert_eq!(fabric.port_of(before.offset(10)), None);
+        sim.add_activity(fabric.message("m", NodeId(2), NodeId(1), 10));
+        let rep = sim.run().unwrap();
+        assert_eq!(rep.resource_name(fabric.nic_rx(NodeId(1))), "node1.nic_rx");
+        assert_eq!(rep.resource_name(fabric.membus(NodeId(0))), "node0.membus");
+        assert_eq!(rep.resource_usages().len(), 4);
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub mod spec;
 pub mod table1;
 pub mod topology;
 
-pub use fabric::{Fabric, TransferPath};
+pub use fabric::{Fabric, Port, TransferPath};
 pub use memory::{MemoryTracker, TruncatedNormal};
 pub use spec::{ClusterSpec, NodeSpec};
 pub use table1::{SystemDesign, Table1};

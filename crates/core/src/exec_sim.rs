@@ -39,7 +39,7 @@ use crate::memory::ProcMemory;
 use crate::multitenant::merge_intervals;
 use crate::plan::{orient, CollectivePlan, Round, SyncMode};
 use mcio_cluster::spec::ClusterSpec;
-use mcio_cluster::{Fabric, NodeId, ProcessMap, Rank};
+use mcio_cluster::{Fabric, NodeId, Port, ProcessMap, Rank};
 use mcio_des::{Activity, ActivityId, SharePolicy, SimDuration, SimTime, Simulation};
 use mcio_faults::{FaultEvent, FaultSpec};
 use mcio_obs::{Registry, TraceCollector};
@@ -740,11 +740,8 @@ pub(crate) fn run_machine(
     // job, found by its activity-id range.
     let mut per_job_ost: Vec<Vec<(u64, u64)>> = vec![Vec::new(); jobs.len()];
     if multi {
-        let ost_ids: std::collections::HashSet<_> = (0..pfs.ost_count())
-            .map(|o| pfs.ost_resource(mcio_pfs::OstId(o)))
-            .collect();
         for rec in report.trace().unwrap_or(&[]) {
-            if !ost_ids.contains(&rec.resource) {
+            if pfs.ost_of(rec.resource).is_none() {
                 continue;
             }
             let idx = rec.activity.index();
@@ -1045,30 +1042,28 @@ impl Lowering<'_, '_> {
 
 /// Busy-time maxima over the machine's resources: the busiest memory
 /// bus, the busiest NIC direction, the busiest OST, and the summed OST
-/// busy time.
+/// busy time. Only the resources the run touched are read; the rest
+/// were idle and add nothing.
 fn busy_maxima(
     report: &mcio_des::RunReport,
     fabric: &Fabric,
     pfs: &Pfs,
 ) -> (SimDuration, SimDuration, SimDuration, SimDuration) {
-    let nnodes = fabric.nnodes();
     let mut membus_busy_max = SimDuration::ZERO;
     let mut nic_busy_max = SimDuration::ZERO;
-    for n in 0..nnodes {
-        let node = mcio_cluster::NodeId(n);
-        membus_busy_max = membus_busy_max.max(report.resource_usage(fabric.membus(node)).busy_time);
-        nic_busy_max = nic_busy_max
-            .max(report.resource_usage(fabric.nic_tx(node)).busy_time)
-            .max(report.resource_usage(fabric.nic_rx(node)).busy_time);
-    }
     let mut ost_busy_max = SimDuration::ZERO;
     let mut ost_busy_total = SimDuration::ZERO;
-    for o in 0..pfs.ost_count() {
-        let busy = report
-            .resource_usage(pfs.ost_resource(mcio_pfs::OstId(o)))
-            .busy_time;
-        ost_busy_max = ost_busy_max.max(busy);
-        ost_busy_total += busy;
+    for (rid, u) in report.resource_usages() {
+        let busy = u.busy_time;
+        match fabric.port_of(*rid) {
+            Some((_, Port::MemBus)) => membus_busy_max = membus_busy_max.max(busy),
+            Some((_, Port::NicTx | Port::NicRx)) => nic_busy_max = nic_busy_max.max(busy),
+            None if pfs.ost_of(*rid).is_some() => {
+                ost_busy_max = ost_busy_max.max(busy);
+                ost_busy_total += busy;
+            }
+            None => {}
+        }
     }
     (membus_busy_max, nic_busy_max, ost_busy_max, ost_busy_total)
 }

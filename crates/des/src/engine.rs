@@ -2,12 +2,15 @@
 //! runs it to completion, producing a [`RunReport`].
 
 use crate::activity::{Activity, ActivityId, ActivityState};
-use crate::resource::{Bandwidth, Job, Resource, ResourceId, ResourceUsage, SharePolicy};
+use crate::resource::{
+    Bandwidth, Job, Resource, ResourceId, ResourceSpecs, ResourceUsage, SharePolicy,
+};
 use crate::time::{SimDuration, SimTime};
 use mcio_obs::{Histogram, Registry, TraceCollector};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Errors a simulation run can produce.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -70,9 +73,23 @@ type HeapEntry = (SimTime, u64, usize, u64, u8);
 ///
 /// Add resources and activities, wire dependencies with
 /// [`Simulation::add_dep`], then call [`Simulation::run`].
+///
+/// A registered resource is only a spec (bandwidth, capacity, policy,
+/// and a name rendered on demand). Its service state is built the first
+/// time an activity stage or a service window names it, so a resource
+/// the run never touches costs a few bytes.
 #[derive(Debug, Default)]
 pub struct Simulation {
-    resources: Vec<Resource>,
+    /// Every registered resource, as immutable specs in id order.
+    specs: ResourceSpecs,
+    /// Resource id → 1 + index into `states`; 0 while the resource is
+    /// idle. Zero-initialized, so pages no touched resource lands on are
+    /// never written.
+    slots: Vec<u32>,
+    /// Service state of the touched resources, in first-use order.
+    states: Vec<Resource>,
+    /// The resource id of each entry of `states`.
+    state_ids: Vec<ResourceId>,
     activities: Vec<ActivityState>,
     /// Event heap keyed by (time, sequence) for determinism; entries
     /// carry the slot generation they were pushed with, so cancelled
@@ -183,10 +200,36 @@ impl Simulation {
         capacity: usize,
         policy: SharePolicy,
     ) -> ResourceId {
-        let id = ResourceId(self.resources.len());
-        self.resources
-            .push(Resource::with_policy(name, bw, capacity, policy));
-        id
+        let name = name.into();
+        self.specs.push(
+            1,
+            capacity,
+            policy,
+            Arc::new(move |_| bw),
+            Arc::new(move |_| name.clone()),
+        )
+    }
+
+    /// Register `count` resources with consecutive ids under the
+    /// simulation's default policy, each with `capacity` service slots;
+    /// returns the first id (member `i` is `first.offset(i)`). Member
+    /// `i` serves at `bandwidth(i)` and is named `name(i)`. Both are
+    /// evaluated only for members a run touches, so registering a block
+    /// costs the same whatever its size.
+    pub fn add_resource_range(
+        &mut self,
+        count: usize,
+        capacity: usize,
+        bandwidth: impl Fn(usize) -> Bandwidth + Send + Sync + 'static,
+        name: impl Fn(usize) -> String + Send + Sync + 'static,
+    ) -> ResourceId {
+        self.specs.push(
+            count,
+            capacity,
+            self.default_policy,
+            Arc::new(bandwidth),
+            Arc::new(name),
+        )
     }
 
     /// Install fault-injection service windows on a resource: while a
@@ -194,18 +237,48 @@ impl Simulation {
     /// nominal speed (0 = stall). Replaces any previous set for that
     /// resource. Must be called before `run`.
     pub fn set_service_windows(&mut self, rid: ResourceId, windows: Vec<crate::ServiceWindow>) {
-        self.resources[rid.0].set_service_windows(windows);
+        let s = self.materialize(rid);
+        self.states[s].set_service_windows(windows);
+    }
+
+    /// The index of `rid`'s service state, building the state from the
+    /// resource's spec on first use.
+    fn materialize(&mut self, rid: ResourceId) -> usize {
+        if self.slots.len() < self.specs.len() {
+            // Resources registered since the table was last sized; at
+            // least double it, so alternating registrations and
+            // activities stay amortized O(1).
+            let mut grown = vec![0u32; self.specs.len().max(2 * self.slots.len())];
+            grown[..self.slots.len()].copy_from_slice(&self.slots);
+            self.slots = grown;
+        }
+        match self.slots[rid.0] {
+            0 => {
+                self.states.push(self.specs.instantiate(rid));
+                self.state_ids.push(rid);
+                self.slots[rid.0] =
+                    u32::try_from(self.states.len()).expect("fewer than 2^32 touched resources");
+                self.states.len() - 1
+            }
+            s => s as usize - 1,
+        }
+    }
+
+    /// The service state of a touched resource.
+    fn state(&mut self, rid: ResourceId) -> &mut Resource {
+        &mut self.states[self.slots[rid.0] as usize - 1]
     }
 
     /// Register an activity. Panics if any stage names an unknown resource.
     pub fn add_activity(&mut self, activity: Activity) -> ActivityId {
         for s in &activity.stages {
             assert!(
-                s.resource.0 < self.resources.len(),
+                s.resource.0 < self.specs.len(),
                 "activity `{}` references unknown resource {:?}",
                 activity.label,
                 s.resource
             );
+            self.materialize(s.resource);
         }
         let id = ActivityId(self.activities.len());
         self.activities.push(ActivityState::from_activity(activity));
@@ -224,9 +297,9 @@ impl Simulation {
         self.activities.len()
     }
 
-    /// Number of registered resources.
+    /// Number of registered resources, touched or not.
     pub fn resource_count(&self) -> usize {
-        self.resources.len()
+        self.specs.len()
     }
 
     /// Schedule `ev` at `t`. Returns the slot handle `(index,
@@ -323,7 +396,7 @@ impl Simulation {
                 Event::StageServed(a) => {
                     // Free the server and start the next queued job, if any.
                     let rid = self.activities[a.0].stages[self.activities[a.0].next_stage].resource;
-                    if let Some((next_job, done)) = self.resources[rid.0].complete_current(now) {
+                    if let Some((next_job, done)) = self.state(rid).complete_current(now) {
                         if let Some(trace) = &mut self.trace {
                             trace.push(ServiceRecord {
                                 resource: rid,
@@ -340,8 +413,9 @@ impl Simulation {
                 Event::FairComplete(rid) => {
                     // This event *was* the resource's pending prediction;
                     // it fired, so just drop the stored handle.
-                    self.resources[rid.0].take_pending();
-                    let (job, _admitted, trace_slot) = self.resources[rid.0].fair_complete(now);
+                    let res = self.state(rid);
+                    res.take_pending();
+                    let (job, _admitted, trace_slot) = res.fair_complete(now);
                     if let (Some(trace), Some(slot)) = (self.trace.as_mut(), trace_slot) {
                         trace[slot].end = now;
                     }
@@ -365,25 +439,45 @@ impl Simulation {
             return Err(SimError::Deadlock { stuck });
         }
 
-        let makespan = self
-            .activities
+        let n = self.activities.len();
+        let (mut starts, mut finishes, mut labels) = (
+            Vec::with_capacity(n),
+            Vec::with_capacity(n),
+            Vec::with_capacity(n),
+        );
+        for a in self.activities {
+            starts.push(a.started);
+            finishes.push(a.finished);
+            labels.push(a.label);
+        }
+        let makespan = finishes
             .iter()
-            .filter_map(|a| a.finished)
+            .flatten()
             .max()
+            .copied()
             .unwrap_or(SimTime::ZERO);
+        // Usage of the touched resources in id order; the slot table is
+        // re-pointed at it for the report's lookups.
+        let mut usages: Vec<(ResourceId, ResourceUsage)> = self
+            .state_ids
+            .into_iter()
+            .zip(self.states.into_iter().map(Resource::into_usage))
+            .collect();
+        usages.sort_unstable_by_key(|&(rid, _)| rid);
+        let mut slots = self.slots;
+        for (i, (rid, _)) in usages.iter().enumerate() {
+            slots[rid.0] = i as u32 + 1;
+        }
         Ok(RunReport {
             makespan,
-            finishes: self.activities.iter().map(|a| a.finished).collect(),
-            starts: self.activities.iter().map(|a| a.started).collect(),
-            labels: self.activities.iter().map(|a| a.label.clone()).collect(),
-            resource_names: self
-                .resources
-                .iter()
-                .map(|r| r.name().to_string())
-                .collect(),
-            usages: self.resources.iter().map(|r| r.usage()).collect(),
-            trace: self.trace.take(),
-            engine_stats: self.engine_stats.clone(),
+            finishes,
+            starts,
+            labels,
+            specs: self.specs,
+            slots,
+            usages,
+            trace: self.trace,
+            engine_stats: self.engine_stats,
         })
     }
 
@@ -402,9 +496,9 @@ impl Simulation {
             overhead: stage.overhead,
         };
         let rid = stage.resource;
-        match self.resources[rid.0].policy() {
+        match self.state(rid).policy() {
             SharePolicy::Fifo => {
-                if let Some(done) = self.resources[rid.0].enqueue(now, job) {
+                if let Some(done) = self.state(rid).enqueue(now, job) {
                     if let Some(trace) = &mut self.trace {
                         trace.push(ServiceRecord {
                             resource: rid,
@@ -430,7 +524,7 @@ impl Simulation {
                     });
                     trace.len() - 1
                 });
-                self.resources[rid.0].fair_arrive(now, job, trace_slot);
+                self.state(rid).fair_arrive(now, job, trace_slot);
                 self.reschedule_fair(rid, now);
             }
         }
@@ -452,13 +546,13 @@ impl Simulation {
     /// stale prediction (if any) and schedule a fresh one for the
     /// current active set.
     fn reschedule_fair(&mut self, rid: ResourceId, now: SimTime) {
-        if let Some(handle) = self.resources[rid.0].take_pending() {
+        if let Some(handle) = self.state(rid).take_pending() {
             self.cancel_event(handle);
         }
-        if let Some(done) = self.resources[rid.0].fair_next_completion() {
+        if let Some(done) = self.state(rid).fair_next_completion() {
             debug_assert!(done >= now, "fair completion predicted in the past");
             let handle = self.push_event(done, Event::FairComplete(rid));
-            self.resources[rid.0].set_pending(handle);
+            self.state(rid).set_pending(handle);
         }
     }
 
@@ -478,6 +572,9 @@ impl Simulation {
     }
 }
 
+/// What [`RunReport::resource_usage`] lends for an untouched resource.
+static IDLE: ResourceUsage = ResourceUsage::IDLE;
+
 /// Result of a completed simulation run.
 #[derive(Debug, Clone)]
 pub struct RunReport {
@@ -485,8 +582,13 @@ pub struct RunReport {
     starts: Vec<Option<SimTime>>,
     finishes: Vec<Option<SimTime>>,
     labels: Vec<String>,
-    resource_names: Vec<String>,
-    usages: Vec<ResourceUsage>,
+    /// The registered resources (names are rendered from these).
+    specs: ResourceSpecs,
+    /// Resource id → 1 + index into `usages`; 0 (or past the end) for
+    /// a resource the run never touched.
+    slots: Vec<u32>,
+    /// Usage of every touched resource, in id order.
+    usages: Vec<(ResourceId, ResourceUsage)>,
     trace: Option<Vec<ServiceRecord>>,
     engine_stats: EngineStats,
 }
@@ -517,14 +619,26 @@ impl RunReport {
         &self.labels[a.0]
     }
 
-    /// Usage accounting for a resource.
+    /// Usage accounting for a resource ([`ResourceUsage::IDLE`] when no
+    /// activity touched it).
     pub fn resource_usage(&self, r: ResourceId) -> &ResourceUsage {
-        &self.usages[r.0]
+        assert!(r.0 < self.specs.len(), "unknown resource {r:?}");
+        match self.slots.get(r.0) {
+            Some(&s) if s > 0 => &self.usages[s as usize - 1].1,
+            _ => &IDLE,
+        }
     }
 
-    /// Usage accounting for all resources, in registration order.
-    pub fn resource_usages(&self) -> &[ResourceUsage] {
+    /// Usage accounting for every resource the run touched, in
+    /// registration order. Untouched resources are left out: their usage
+    /// is [`ResourceUsage::IDLE`].
+    pub fn resource_usages(&self) -> &[(ResourceId, ResourceUsage)] {
         &self.usages
+    }
+
+    /// The name resource `r` was registered under.
+    pub fn resource_name(&self, r: ResourceId) -> String {
+        self.specs.name(r)
     }
 
     /// Number of activities in the run.
@@ -553,11 +667,13 @@ impl RunReport {
     pub fn class_max_queues(&self) -> Vec<(String, u64)> {
         let mut per_class: std::collections::BTreeMap<String, u64> =
             std::collections::BTreeMap::new();
-        for u in &self.usages {
+        for (rid, u) in &self.usages {
             if u.jobs_served == 0 {
                 continue;
             }
-            let entry = per_class.entry(resource_class(&u.name)).or_insert(0);
+            let entry = per_class
+                .entry(resource_class(&self.specs.name(*rid)))
+                .or_insert(0);
             *entry = (*entry).max(u.max_active as u64);
         }
         per_class.into_iter().collect()
@@ -578,7 +694,7 @@ impl RunReport {
             heap_high_water: self.engine_stats.max_queue_depth as u64,
             ready_high_water: self.engine_stats.max_ready_set as u64,
             activities: self.finishes.len() as u64,
-            resources: self.usages.len() as u64,
+            resources: self.specs.len() as u64,
             class_max_queue: self.class_max_queues(),
         }
     }
@@ -692,14 +808,15 @@ impl RunReport {
                 depth as f64,
             );
         }
-        for u in &self.usages {
+        for (rid, u) in &self.usages {
             // Resources that never served a job (e.g. nodes the process
             // map leaves idle on a large machine spec) would only add
             // all-zero series; skip them to keep exports readable.
             if u.jobs_served == 0 {
                 continue;
             }
-            let labels = &[("resource", u.name.as_str())][..];
+            let name = self.specs.name(*rid);
+            let labels = &[("resource", name.as_str())][..];
             reg.inc("des.resource.busy_ns", labels, u.busy_time.as_nanos());
             reg.inc("des.resource.bytes", labels, u.bytes_served);
             reg.inc("des.resource.jobs", labels, u.jobs_served);
@@ -717,15 +834,21 @@ impl RunReport {
     pub fn trace_into(&self, tc: &TraceCollector, pid: u64) {
         let Some(trace) = &self.trace else { return };
         tc.name_process(pid, "des.resources");
-        let used: std::collections::BTreeSet<usize> =
-            trace.iter().map(|r| r.resource.index()).collect();
-        for tid in used {
-            tc.name_thread(pid, tid as u64, &self.resource_names[tid]);
+        // Lane names, rendered once per lane and indexed like `usages`
+        // (every traced resource was touched).
+        let slot = |rid: ResourceId| self.slots[rid.0] as usize - 1;
+        let mut names = vec![String::new(); self.usages.len()];
+        let used: std::collections::BTreeSet<ResourceId> =
+            trace.iter().map(|r| r.resource).collect();
+        for rid in used {
+            let name = &mut names[slot(rid)];
+            *name = self.specs.name(rid);
+            tc.name_thread(pid, rid.index() as u64, name);
         }
         for rec in trace {
             tc.span(
                 &self.labels[rec.activity.index()],
-                &self.resource_names[rec.resource.index()],
+                &names[slot(rec.resource)],
                 pid,
                 rec.resource.index() as u64,
                 rec.start.as_nanos(),

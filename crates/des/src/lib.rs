@@ -26,6 +26,14 @@
 //!
 //! * A [`Resource`] serves one job at a time at a fixed [`Bandwidth`]; a job
 //!   occupying it for `overhead + bytes / bandwidth`.
+//! * Registering a resource stores only its spec (bandwidth, capacity,
+//!   policy, and a name rendered on demand), in contiguous ranges:
+//!   [`Simulation::add_resource_range`] registers a block of any size in
+//!   O(1). The [`Resource`] service state is built the first time an
+//!   activity stage or a service window names the resource, so a large
+//!   machine on which a job touches few resources costs what the job
+//!   touches. The [`RunReport`] carries usage for those alone; an
+//!   untouched resource reports [`ResourceUsage::IDLE`].
 //! * An [`Activity`] is a sequence of [`Stage`]s. A stage names a resource,
 //!   a byte count and a fixed overhead, plus an optional *latency* that the
 //!   activity waits out **after** leaving the resource without occupying

@@ -26,6 +26,8 @@ use crate::time::{SimDuration, SimTime};
 use mcio_obs::Histogram;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+use std::fmt;
+use std::sync::Arc;
 
 /// Identifier of a resource within a [`crate::Simulation`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -35,6 +37,12 @@ impl ResourceId {
     /// The index of this resource in the simulation's resource table.
     pub fn index(self) -> usize {
         self.0
+    }
+
+    /// The id `k` places after this one: member `k` of a range whose
+    /// first id this is (see [`crate::Simulation::add_resource_range`]).
+    pub fn offset(self, k: usize) -> ResourceId {
+        ResourceId(self.0 + k)
     }
 }
 
@@ -195,13 +203,101 @@ struct FairState {
     pending: Option<(usize, u64)>,
 }
 
-/// A bandwidth server with `capacity` parallel service slots
-/// (capacity 1 = the classic single server; an OST with several disk
-/// channels or server threads uses more), serving under a
-/// [`SharePolicy`].
+/// Bandwidth of the `i`-th resource of a registered range.
+type BandwidthFn = dyn Fn(usize) -> Bandwidth + Send + Sync;
+/// Name of the `i`-th resource of a registered range.
+type NameFn = dyn Fn(usize) -> String + Send + Sync;
+
+/// A contiguous block of registered resources sharing one capacity and
+/// one service discipline. This is all registration stores: each
+/// member's bandwidth and name are computed on demand, so a resource no
+/// activity touches costs nothing beyond its share of the block.
+#[derive(Clone)]
+struct ResourceRange {
+    first: usize,
+    count: usize,
+    capacity: usize,
+    policy: SharePolicy,
+    bandwidth: Arc<BandwidthFn>,
+    name: Arc<NameFn>,
+}
+
+/// The immutable specs of every registered resource, as ranges in id
+/// order. A single resource is a range of one.
+#[derive(Clone, Default)]
+pub(crate) struct ResourceSpecs {
+    ranges: Vec<ResourceRange>,
+    len: usize,
+}
+
+impl fmt::Debug for ResourceSpecs {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ResourceSpecs")
+            .field("ranges", &self.ranges.len())
+            .field("len", &self.len)
+            .finish()
+    }
+}
+
+impl ResourceSpecs {
+    /// Number of registered resources.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Register `count` resources; returns the first id.
+    pub(crate) fn push(
+        &mut self,
+        count: usize,
+        capacity: usize,
+        policy: SharePolicy,
+        bandwidth: Arc<BandwidthFn>,
+        name: Arc<NameFn>,
+    ) -> ResourceId {
+        assert!(capacity > 0, "resource needs at least one service slot");
+        let first = self.len;
+        self.len += count;
+        if count > 0 {
+            self.ranges.push(ResourceRange {
+                first,
+                count,
+                capacity,
+                policy,
+                bandwidth,
+                name,
+            });
+        }
+        ResourceId(first)
+    }
+
+    /// The range holding `rid` and the resource's index within it.
+    fn locate(&self, rid: ResourceId) -> (&ResourceRange, usize) {
+        assert!(rid.0 < self.len, "unknown resource {rid:?}");
+        let r = &self.ranges[self.ranges.partition_point(|r| r.first <= rid.0) - 1];
+        debug_assert!(rid.0 - r.first < r.count);
+        (r, rid.0 - r.first)
+    }
+
+    /// The name `rid` was registered under, rendered now.
+    pub(crate) fn name(&self, rid: ResourceId) -> String {
+        let (r, i) = self.locate(rid);
+        (r.name)(i)
+    }
+
+    /// Fresh service state for `rid`, built from its spec.
+    pub(crate) fn instantiate(&self, rid: ResourceId) -> Resource {
+        let (r, i) = self.locate(rid);
+        Resource::with_policy((r.bandwidth)(i), r.capacity, r.policy)
+    }
+}
+
+/// The service state of a bandwidth server with `capacity` parallel
+/// service slots (capacity 1 = the classic single server; an OST with
+/// several disk channels or server threads uses more), serving under a
+/// [`SharePolicy`]. The engine builds it the first time an activity
+/// stage or a service window names the resource.
 #[derive(Debug)]
 pub struct Resource {
-    name: String,
     bandwidth: Bandwidth,
     capacity: usize,
     policy: SharePolicy,
@@ -227,19 +323,13 @@ pub struct Resource {
 
 impl Resource {
     #[cfg(test)]
-    pub(crate) fn new(name: impl Into<String>, bandwidth: Bandwidth) -> Self {
-        Self::with_policy(name, bandwidth, 1, SharePolicy::Fifo)
+    pub(crate) fn new(bandwidth: Bandwidth) -> Self {
+        Self::with_policy(bandwidth, 1, SharePolicy::Fifo)
     }
 
-    pub(crate) fn with_policy(
-        name: impl Into<String>,
-        bandwidth: Bandwidth,
-        capacity: usize,
-        policy: SharePolicy,
-    ) -> Self {
+    pub(crate) fn with_policy(bandwidth: Bandwidth, capacity: usize, policy: SharePolicy) -> Self {
         assert!(capacity > 0, "resource needs at least one service slot");
         Resource {
-            name: name.into(),
             bandwidth,
             capacity,
             policy,
@@ -269,11 +359,6 @@ impl Resource {
     /// Number of parallel service slots.
     pub fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// Human-readable name, e.g. `"node3.membus"`.
-    pub fn name(&self) -> &str {
-        &self.name
     }
 
     /// The configured service bandwidth.
@@ -518,9 +603,21 @@ impl Resource {
         self.fair.pending = Some(handle);
     }
 
-    pub(crate) fn usage(&self) -> ResourceUsage {
+    pub(crate) fn into_usage(self) -> ResourceUsage {
         ResourceUsage {
-            name: self.name.clone(),
+            busy_time: self.busy_time,
+            bytes_served: self.bytes_served,
+            jobs_served: self.jobs_served,
+            max_queue_len: self.max_queue_len,
+            max_active: self.max_active,
+            wait_hist: self.wait_hist,
+        }
+    }
+
+    /// The accounting so far, leaving the state in place.
+    #[cfg(test)]
+    fn usage(&self) -> ResourceUsage {
+        ResourceUsage {
             busy_time: self.busy_time,
             bytes_served: self.bytes_served,
             jobs_served: self.jobs_served,
@@ -531,11 +628,10 @@ impl Resource {
     }
 }
 
-/// Post-run accounting for one resource.
+/// Post-run accounting for one resource. A resource no activity ever
+/// touched reports [`ResourceUsage::IDLE`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ResourceUsage {
-    /// Name the resource was registered with.
-    pub name: String,
     /// Total service time delivered (may exceed the makespan when the
     /// resource has multiple service slots). Under fair sharing this is
     /// the integral of `min(active, capacity)` over time — the same
@@ -561,6 +657,16 @@ pub struct ResourceUsage {
 }
 
 impl ResourceUsage {
+    /// The usage of a resource that served nothing.
+    pub const IDLE: ResourceUsage = ResourceUsage {
+        busy_time: SimDuration::ZERO,
+        bytes_served: 0,
+        jobs_served: 0,
+        max_queue_len: 0,
+        max_active: 0,
+        wait_hist: Histogram::new(),
+    };
+
     /// Fraction of the makespan this resource was busy, in `[0, 1]`
     /// (assuming `makespan` covers the whole run).
     pub fn utilization(&self, makespan: SimDuration) -> f64 {
@@ -637,7 +743,7 @@ mod tests {
 
     #[test]
     fn fifo_queueing() {
-        let mut r = Resource::new("r", Bandwidth::bytes_per_sec(100.0));
+        let mut r = Resource::new(Bandwidth::bytes_per_sec(100.0));
         let t0 = SimTime::ZERO;
         // First job starts immediately.
         let done = r.enqueue(t0, job(100)).expect("idle server starts job");
@@ -659,7 +765,7 @@ mod tests {
 
     #[test]
     fn wait_times_recorded_per_job() {
-        let mut r = Resource::new("r", Bandwidth::bytes_per_sec(100.0));
+        let mut r = Resource::new(Bandwidth::bytes_per_sec(100.0));
         let t0 = SimTime::ZERO;
         let done = r.enqueue(t0, job(100)).unwrap();
         assert!(r.enqueue(t0, job(100)).is_none());
@@ -673,7 +779,7 @@ mod tests {
 
     #[test]
     fn overhead_adds_to_service() {
-        let r = Resource::new("r", Bandwidth::bytes_per_sec(100.0));
+        let r = Resource::new(Bandwidth::bytes_per_sec(100.0));
         assert_eq!(
             r.service_time(100, SimDuration::from_millis(500)),
             SimDuration::from_millis(1500)
@@ -684,7 +790,7 @@ mod tests {
     fn slow_window_stretches_service() {
         // 100 B/s server, 100-byte job ⇒ nominally 1 s. A half-rate
         // window covering the whole job doubles it.
-        let mut r = Resource::new("r", Bandwidth::bytes_per_sec(100.0));
+        let mut r = Resource::new(Bandwidth::bytes_per_sec(100.0));
         r.set_service_windows(vec![ServiceWindow {
             start: SimTime::ZERO,
             end: SimTime::from_nanos(u64::MAX),
@@ -700,7 +806,7 @@ mod tests {
         // Job starts at t=0, stall covers [0.5 s, 2.5 s): the first half
         // second does half the work, then nothing until 2.5 s, then the
         // remaining half second ⇒ done at 3 s.
-        let mut r = Resource::new("r", Bandwidth::bytes_per_sec(100.0));
+        let mut r = Resource::new(Bandwidth::bytes_per_sec(100.0));
         r.set_service_windows(vec![ServiceWindow {
             start: SimTime::from_nanos(500_000_000),
             end: SimTime::from_nanos(2_500_000_000),
@@ -712,7 +818,7 @@ mod tests {
 
     #[test]
     fn job_outside_windows_is_unperturbed() {
-        let mut r = Resource::new("r", Bandwidth::bytes_per_sec(100.0));
+        let mut r = Resource::new(Bandwidth::bytes_per_sec(100.0));
         r.set_service_windows(vec![ServiceWindow {
             start: SimTime::from_nanos(10),
             end: SimTime::from_nanos(20),
@@ -726,7 +832,7 @@ mod tests {
 
     #[test]
     fn empty_and_reversed_windows_are_dropped() {
-        let mut r = Resource::new("r", Bandwidth::bytes_per_sec(100.0));
+        let mut r = Resource::new(Bandwidth::bytes_per_sec(100.0));
         r.set_service_windows(vec![ServiceWindow {
             start: SimTime::from_nanos(20),
             end: SimTime::from_nanos(20),
@@ -741,7 +847,7 @@ mod tests {
         // A zero-byte, zero-overhead job needs zero work: it must
         // complete at t+0 even when admitted inside a full stall window
         // (previously it was pushed to the window's end).
-        let mut r = Resource::new("r", Bandwidth::bytes_per_sec(100.0));
+        let mut r = Resource::new(Bandwidth::bytes_per_sec(100.0));
         r.set_service_windows(vec![ServiceWindow {
             start: SimTime::ZERO,
             end: SimTime::from_nanos(10_000_000_000),
@@ -757,7 +863,7 @@ mod tests {
         // 1 s of work starting at t=0; a stall covers [1 s, 5 s). The
         // job's last byte lands exactly at the stall boundary, so it
         // completes at 1 s, not at the stall's end.
-        let mut r = Resource::new("r", Bandwidth::bytes_per_sec(100.0));
+        let mut r = Resource::new(Bandwidth::bytes_per_sec(100.0));
         r.set_service_windows(vec![ServiceWindow {
             start: SimTime::from_nanos(1_000_000_000),
             end: SimTime::from_nanos(5_000_000_000),
@@ -769,12 +875,8 @@ mod tests {
 
     #[test]
     fn fair_single_transfer_matches_fifo_arithmetic() {
-        let mut f = Resource::with_policy(
-            "f",
-            Bandwidth::bytes_per_sec(100.0),
-            1,
-            SharePolicy::FairShare,
-        );
+        let mut f =
+            Resource::with_policy(Bandwidth::bytes_per_sec(100.0), 1, SharePolicy::FairShare);
         let t0 = SimTime::from_nanos(123_456_789);
         f.fair_arrive(t0, job(100), None);
         assert_eq!(
@@ -794,12 +896,8 @@ mod tests {
         // Two 100-byte transfers admitted together on a 100 B/s server:
         // each progresses at 50 B/s, both finish at 2 s (admission order
         // breaks the tie).
-        let mut f = Resource::with_policy(
-            "f",
-            Bandwidth::bytes_per_sec(100.0),
-            1,
-            SharePolicy::FairShare,
-        );
+        let mut f =
+            Resource::with_policy(Bandwidth::bytes_per_sec(100.0), 1, SharePolicy::FairShare);
         f.fair_arrive(SimTime::ZERO, job(100), None);
         f.fair_arrive(SimTime::ZERO, job(100), None);
         let done = f.fair_next_completion().unwrap();
@@ -822,12 +920,8 @@ mod tests {
         // A starts alone at t=0 (100 B at 100 B/s). B (50 B) arrives at
         // 0.5 s. A has 50 B left; both share at 50 B/s. Both demands
         // drain together at t = 0.5 + 1.0 = 1.5 s.
-        let mut f = Resource::with_policy(
-            "f",
-            Bandwidth::bytes_per_sec(100.0),
-            1,
-            SharePolicy::FairShare,
-        );
+        let mut f =
+            Resource::with_policy(Bandwidth::bytes_per_sec(100.0), 1, SharePolicy::FairShare);
         f.fair_arrive(SimTime::ZERO, job(100), None);
         f.fair_arrive(SimTime::from_nanos(500_000_000), job(50), None);
         let done = f.fair_next_completion().unwrap();
@@ -842,12 +936,8 @@ mod tests {
     fn fair_capacity_two_serves_pairs_at_full_rate() {
         // capacity 2: two transfers get a full slot each — identical to
         // the FIFO multi-slot semantics. A third shares: 2 slots / 3.
-        let mut f = Resource::with_policy(
-            "f",
-            Bandwidth::bytes_per_sec(100.0),
-            2,
-            SharePolicy::FairShare,
-        );
+        let mut f =
+            Resource::with_policy(Bandwidth::bytes_per_sec(100.0), 2, SharePolicy::FairShare);
         f.fair_arrive(SimTime::ZERO, job(100), None);
         f.fair_arrive(SimTime::ZERO, job(100), None);
         assert_eq!(
@@ -866,7 +956,7 @@ mod tests {
     fn fair_overhead_only_transfers_contend() {
         // Infinite bandwidth, pure overhead (the OST shape): two 1 ms
         // requests admitted together each progress at half rate — 2 ms.
-        let mut f = Resource::with_policy("ost0", Bandwidth::infinite(), 1, SharePolicy::FairShare);
+        let mut f = Resource::with_policy(Bandwidth::infinite(), 1, SharePolicy::FairShare);
         let j = Job {
             activity: ActivityId(0),
             bytes: 0,
@@ -884,12 +974,8 @@ mod tests {
     fn fair_window_slows_the_whole_set() {
         // Two 100-byte transfers on 100 B/s under a half-rate window:
         // effective 25 B/s each ⇒ 4 s.
-        let mut f = Resource::with_policy(
-            "f",
-            Bandwidth::bytes_per_sec(100.0),
-            1,
-            SharePolicy::FairShare,
-        );
+        let mut f =
+            Resource::with_policy(Bandwidth::bytes_per_sec(100.0), 1, SharePolicy::FairShare);
         f.set_service_windows(vec![ServiceWindow {
             start: SimTime::ZERO,
             end: SimTime::from_nanos(u64::MAX),
@@ -905,12 +991,8 @@ mod tests {
 
     #[test]
     fn fair_zero_demand_completes_at_admission() {
-        let mut f = Resource::with_policy(
-            "f",
-            Bandwidth::bytes_per_sec(100.0),
-            1,
-            SharePolicy::FairShare,
-        );
+        let mut f =
+            Resource::with_policy(Bandwidth::bytes_per_sec(100.0), 1, SharePolicy::FairShare);
         f.set_service_windows(vec![ServiceWindow {
             start: SimTime::ZERO,
             end: SimTime::from_nanos(u64::MAX),
@@ -926,12 +1008,8 @@ mod tests {
         // Run one transfer, drain, run another far later: the second
         // admission must compute the same exact arithmetic as the first
         // (no accumulated virtual time).
-        let mut f = Resource::with_policy(
-            "f",
-            Bandwidth::bytes_per_sec(100.0),
-            1,
-            SharePolicy::FairShare,
-        );
+        let mut f =
+            Resource::with_policy(Bandwidth::bytes_per_sec(100.0), 1, SharePolicy::FairShare);
         f.fair_arrive(SimTime::ZERO, job(100), None);
         let d1 = f.fair_next_completion().unwrap();
         f.fair_complete(d1);
@@ -946,7 +1024,6 @@ mod tests {
     #[test]
     fn utilization() {
         let u = ResourceUsage {
-            name: "r".into(),
             busy_time: SimDuration::from_secs(1),
             bytes_served: 0,
             jobs_served: 0,

@@ -92,6 +92,8 @@ proptest! {
             prop_assert_eq!(fifo.finish_time(a), fair.finish_time(a));
             prop_assert_eq!(fifo.start_time(a), fair.start_time(a));
         }
+        // Every chain's resource served, in both engines, field by field.
+        prop_assert_eq!(fifo.resource_usages().len(), chains);
         prop_assert_eq!(fifo.resource_usages(), fair.resource_usages());
         prop_assert_eq!(fifo.engine_stats(), fair.engine_stats());
         prop_assert_eq!(fifo.engine_stats().events_cancelled, 0);
@@ -131,7 +133,7 @@ proptest! {
         for &a in &ids {
             prop_assert_eq!(fifo.finish_time(a), fair.finish_time(a));
         }
-        let (uf, ua) = (&fifo.resource_usages()[0], &fair.resource_usages()[0]);
+        let (uf, ua) = (&fifo.resource_usages()[0].1, &fair.resource_usages()[0].1);
         prop_assert_eq!(uf.busy_time, ua.busy_time);
         prop_assert_eq!(uf.bytes_served, ua.bytes_served);
         prop_assert_eq!(uf.max_active, ua.max_active);
@@ -308,7 +310,7 @@ proptest! {
         prop_assert_eq!(es.events_cancelled, expected_cancels);
         // Work conservation: the slot-time integral equals total
         // demand, up to one nanosecond of ceiling per event boundary.
-        let u = &rep.resource_usages()[0];
+        let u = &rep.resource_usages()[0].1;
         let total_demand: f64 = jobs.iter().map(|&(_, d)| d).sum();
         let slack = (njobs * cap) as f64 + 1.0;
         prop_assert!(
@@ -497,7 +499,7 @@ fn queue_counter_semantics_pinned() {
     let fifo = build(SharePolicy::Fifo);
     let fair = build(SharePolicy::FairShare);
 
-    let uf = &fifo.resource_usages()[0];
+    let uf = &fifo.resource_usages()[0].1;
     assert_eq!(uf.max_active, 1);
     assert_eq!(uf.max_queue_len, 2);
     assert_eq!(uf.wait_hist.count(), 3);
@@ -507,7 +509,7 @@ fn queue_counter_semantics_pinned() {
         fifo.class_max_queues()
     );
 
-    let ua = &fair.resource_usages()[0];
+    let ua = &fair.resource_usages()[0].1;
     assert_eq!(ua.max_active, 3);
     assert_eq!(ua.max_queue_len, 2);
     assert_eq!(ua.wait_hist.count(), 3);
@@ -554,6 +556,7 @@ fn seeded_replay_is_deterministic_under_fair_sharing() {
     let y = build();
     assert_eq!(x.makespan(), y.makespan());
     assert_eq!(x.engine_stats(), y.engine_stats());
+    assert_eq!(x.resource_usages().len(), 2);
     assert_eq!(x.resource_usages(), y.resource_usages());
     assert_eq!(x.trace(), y.trace());
     assert_eq!(x.engine_profile(), y.engine_profile());

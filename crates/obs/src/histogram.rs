@@ -29,7 +29,7 @@ impl Default for Histogram {
 
 impl Histogram {
     /// An empty histogram.
-    pub fn new() -> Self {
+    pub const fn new() -> Self {
         Histogram {
             counts: Vec::new(),
             count: 0,

@@ -84,7 +84,9 @@ struct FaultCtx {
 #[derive(Debug, Clone)]
 pub struct Pfs {
     layout: StripeLayout,
-    osts: Vec<ResourceId>,
+    /// Id of OST 0; the OSTs are one resource range.
+    first_ost: ResourceId,
+    ost_count: usize,
     read_bw: f64,
     write_bw: f64,
     request_overhead: SimDuration,
@@ -113,22 +115,20 @@ impl Pfs {
             spec.io_servers,
             "layout stripe count must equal the number of I/O servers"
         );
-        let osts = (0..spec.io_servers)
-            // OST service time is charged explicitly per job (it depends on
-            // the direction), so the resource itself is pure-overhead; the
-            // spec's `ost_concurrency` gives each OST that many parallel
-            // service slots.
-            .map(|i| {
-                sim.add_resource_with_capacity(
-                    format!("ost{i}"),
-                    Bandwidth::infinite(),
-                    spec.ost_concurrency.max(1),
-                )
-            })
-            .collect();
+        // OST service time is charged explicitly per job (it depends on
+        // the direction), so the resource itself is pure-overhead; the
+        // spec's `ost_concurrency` gives each OST that many parallel
+        // service slots.
+        let first_ost = sim.add_resource_range(
+            spec.io_servers,
+            spec.ost_concurrency.max(1),
+            |_| Bandwidth::infinite(),
+            |i| format!("ost{i}"),
+        );
         Pfs {
             layout,
-            osts,
+            first_ost,
+            ost_count: spec.io_servers,
             read_bw: spec.ost_read_bandwidth,
             write_bw: spec.ost_write_bandwidth,
             request_overhead: spec.ost_request_overhead,
@@ -144,10 +144,10 @@ impl Pfs {
     /// [`Pfs::submit`] piece that draws a failure becomes a bounded
     /// retry chain with seeded exponential backoff.
     pub fn apply_faults(&mut self, sim: &mut Simulation, spec: &FaultSpec) {
-        for (i, &rid) in self.osts.iter().enumerate() {
+        for i in 0..self.ost_count {
             let windows = spec.ost_windows(i);
             if !windows.is_empty() {
-                sim.set_service_windows(rid, windows);
+                sim.set_service_windows(self.ost_resource(OstId(i)), windows);
             }
         }
         if let Some((p, _)) = spec.transient() {
@@ -213,7 +213,7 @@ impl Pfs {
     /// No-op when no registry is attached.
     pub fn record_imbalance(&self) {
         let Some(reg) = &self.registry else { return };
-        let stats: OnlineStats = (0..self.osts.len())
+        let stats: OnlineStats = (0..self.ost_count)
             .map(|i| {
                 let ost = i.to_string();
                 reg.counter_value("pfs.ost.bytes", &[("ost", &ost)]) as f64
@@ -229,12 +229,20 @@ impl Pfs {
 
     /// The DES resource of an OST (for usage queries).
     pub fn ost_resource(&self, ost: OstId) -> ResourceId {
-        self.osts[ost.0]
+        assert!(ost.0 < self.ost_count, "{ost:?} is not in the file system");
+        self.first_ost.offset(ost.0)
+    }
+
+    /// The OST a DES resource serves, or `None` for a resource outside
+    /// the file system.
+    pub fn ost_of(&self, r: ResourceId) -> Option<OstId> {
+        let i = r.index().checked_sub(self.first_ost.index())?;
+        (i < self.ost_count).then_some(OstId(i))
     }
 
     /// Number of OSTs.
     pub fn ost_count(&self) -> usize {
-        self.osts.len()
+        self.ost_count
     }
 
     /// Service time one OST charges for `bytes` in direction `rw`.
@@ -342,7 +350,7 @@ impl Pfs {
         bytes: u64,
     ) -> ActivityId {
         let service = self.ost_service_time(rw, bytes);
-        let rid = self.osts[ost.0];
+        let rid = self.ost_resource(ost);
         let Some(ctx) = &self.faults else {
             return sim.add_activity(Activity::new(label).stage(rid, 0, service));
         };
